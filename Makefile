@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-hostile race-obs fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-json bench-cluster bench-sessions bench-alerts
+.PHONY: ci fmt vet build test stress race race-hostile race-obs fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke bench bench-json bench-cluster bench-sessions bench-alerts
 
-ci: fmt vet build test race race-hostile race-obs fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke
+ci: fmt vet build test stress race race-hostile race-obs fuzz-smoke bench-smoke serve-smoke trace-smoke cluster-smoke trace-cluster-smoke sessions-smoke alerts-smoke
 
 # gofmt -l prints offending files; fail if it prints anything.
 fmt:
@@ -22,6 +22,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Flake hunt over the serving packages: three fresh runs at one and at
+# two CPUs, so a lifecycle race that hides under one schedule shows up
+# under another instead of as an occasional red tier-1.
+stress:
+	$(GO) test -count=3 -cpu 1,2 ./internal/capserver/... ./internal/cluster/... ./internal/session/... ./internal/health/...
 
 # The runner fans experiments out across goroutines; the race detector
 # guards the result-slot and seed-stream plumbing.

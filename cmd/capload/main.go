@@ -100,25 +100,24 @@ func run(args []string, out *os.File) error {
 
 	switch *mode {
 	case "cluster":
-		return runCluster(clusterOptions{
-			names:        strings.Split(*clusterFlag, ","),
-			requests:     *requests,
-			seed:         *seed,
-			unique:       *unique,
-			exactN:       *exactN,
-			killAfter:    *killAfter,
-			restartAfter: *restart,
-			killNode:     *killNode,
-			hedge:        *hedge,
-			storeDir:     *storeDir,
-			workers:      *workers,
-			queue:        *queue,
-			cacheSz:      *cacheSz,
-			benchOut:     *benchOut,
-			assert:       *assert,
-			trace:        *trace,
-			traceDir:     *traceDir,
-		}, out)
+		return runCluster(cluster.HarnessOptions{
+			Nodes:        strings.Split(*clusterFlag, ","),
+			Requests:     *requests,
+			Seed:         *seed,
+			Unique:       *unique,
+			ExactN:       *exactN,
+			KillNode:     *killNode,
+			KillAfter:    *killAfter,
+			RestartAfter: *restart,
+			HedgeDelay:   *hedge,
+			StoreDir:     *storeDir,
+			Workers:      *workers,
+			QueueDepth:   *queue,
+			CacheEntries: *cacheSz,
+			Trace:        *trace,
+			TraceDir:     *traceDir,
+			Out:          out,
+		}, *benchOut, *assert)
 	case "cluster-check":
 		path := *benchOut
 		if fs.NArg() > 0 {
@@ -198,76 +197,42 @@ func run(args []string, out *os.File) error {
 	}
 }
 
-// clusterOptions carries the cluster-mode flag values.
-type clusterOptions struct {
-	names                   []string
-	requests                int
-	seed                    uint64
-	unique, exactN          int
-	killAfter, restartAfter int
-	killNode                string
-	hedge                   time.Duration
-	storeDir                string
-	workers, queue, cacheSz int
-	benchOut                string
-	assert                  bool
-	trace                   bool
-	traceDir                string
-}
-
 // runCluster drives the multi-node fault harness and optionally writes
 // the trajectory file.
-func runCluster(o clusterOptions, out *os.File) error {
-	names := make([]string, 0, len(o.names))
-	for _, n := range o.names {
+func runCluster(ho cluster.HarnessOptions, benchOut string, assert bool) error {
+	var names []string
+	for _, n := range ho.Nodes {
 		if n = strings.TrimSpace(n); n != "" {
 			names = append(names, n)
 		}
 	}
 	if len(names) < 2 {
-		return fmt.Errorf("-cluster %q names fewer than 2 members", strings.Join(o.names, ","))
+		return fmt.Errorf("-cluster %q names fewer than 2 members", strings.Join(ho.Nodes, ","))
 	}
-	ho := cluster.HarnessOptions{
-		Nodes:        names,
-		Requests:     o.requests,
-		Seed:         o.seed,
-		Unique:       o.unique,
-		ExactN:       o.exactN,
-		KillNode:     o.killNode,
-		KillAfter:    o.killAfter,
-		RestartAfter: o.restartAfter,
-		HedgeDelay:   o.hedge,
-		StoreDir:     o.storeDir,
-		Workers:      o.workers,
-		QueueDepth:   o.queue,
-		CacheEntries: o.cacheSz,
-		Trace:        o.trace,
-		TraceDir:     o.traceDir,
-		Out:          out,
-	}
+	ho.Nodes = names
 	rep, err := cluster.RunHarness(ho)
 	if err != nil {
 		return err
 	}
-	rep.Format(out)
-	if o.benchOut != "" {
+	rep.Format(ho.Out)
+	if benchOut != "" {
 		mode := "full"
-		if o.requests < 200 {
+		if ho.Requests < 200 {
 			mode = "smoke"
 		}
-		if err := cluster.WriteTrajectory(o.benchOut, cluster.BuildTrajectory(mode, ho, rep)); err != nil {
+		if err := cluster.WriteTrajectory(benchOut, cluster.BuildTrajectory(mode, ho, rep)); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "wrote %s\n", o.benchOut)
+		fmt.Fprintf(ho.Out, "wrote %s\n", benchOut)
 	}
-	if o.assert {
+	if assert {
 		if err := rep.Assert(); err != nil {
 			return err
 		}
 		if rep.Trace != nil {
-			fmt.Fprintln(out, "cluster-assert: byte identity, convergence, fault counters and trace reconciliation all hold")
+			fmt.Fprintln(ho.Out, "cluster-assert: byte identity, convergence, fault counters and trace reconciliation all hold")
 		} else {
-			fmt.Fprintln(out, "cluster-assert: byte identity, convergence and fault counters all hold")
+			fmt.Fprintln(ho.Out, "cluster-assert: byte identity, convergence and fault counters all hold")
 		}
 	}
 	return nil

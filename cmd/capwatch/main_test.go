@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -15,34 +14,24 @@ import (
 // TestWatchOnce renders one page against a real single-member cluster
 // and checks the deterministic parts of the layout.
 func TestWatchOnce(t *testing.T) {
-	// Listener first: the member's own URL appears in the membership, so
-	// the address must exist before the node does.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + l.Addr().String()
-
-	reg := obs.NewRegistry()
-	srv := capserver.New(capserver.Config{Workers: 2, QueueDepth: 16, Metrics: reg, SessionSweep: -1})
-	node, err := cluster.NewNode(srv, cluster.Config{
-		Membership: cluster.Membership{Members: []cluster.Member{{Name: "solo", URL: base}}},
-		Self:       "solo",
-		Metrics:    cluster.NewMetrics(reg),
+	f, err := cluster.NewFleet([]string{"solo"}, func(name string, _ int, mem cluster.Membership) (*capserver.Server, *cluster.Node, error) {
+		reg := obs.NewRegistry()
+		srv := capserver.New(capserver.Config{Workers: 2, QueueDepth: 16, Metrics: reg, SessionSweep: -1})
+		node, err := cluster.NewNode(srv, cluster.Config{Membership: mem, Self: name, Metrics: cluster.NewMetrics(reg)})
+		return srv, node, err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: node.Handler()}
-	go func() { _ = hs.Serve(l) }()
-	defer hs.Close()
+	defer f.Close()
+	base := f.URL("solo")
 
 	if resp, err := http.Get(base + "/v1/bounds?n=4&pd=0.2&pi=0.1"); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
 	}
-	srv.TickHealth()
+	f.Server("solo").TickHealth()
 
 	var b strings.Builder
 	if err := run([]string{"-target", base, "-once"}, &b); err != nil {

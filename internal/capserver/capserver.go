@@ -242,7 +242,8 @@ func (s *Server) Serve(l net.Listener) error { return s.httpSrv.Serve(l) }
 
 // StartDrain flips readiness: /v1/readyz answers 503 from this moment
 // on, so load balancers and cluster peers stop routing new work here
-// while in-flight requests complete. Shutdown calls it first; an
+// while in-flight requests complete, and a request that would start a
+// new computation gets a retryable 503. Shutdown calls it first; an
 // embedding process driving its own http.Server (the cluster daemon)
 // calls it before that server's Shutdown for the same ordering.
 func (s *Server) StartDrain() { s.draining.Store(true) }
@@ -274,6 +275,9 @@ var errQueueFull = errors.New("capserver: compute queue full, retry later")
 // window after the last waiter left can observe it; retrying computes
 // fresh.
 var errAbandoned = errors.New("capserver: request abandoned before compute started, retry")
+
+// errDraining refuses a new computation once drain has begun.
+var errDraining = errors.New("capserver: server draining, retry elsewhere")
 
 // buildFunc validates one endpoint's query parameters and returns the
 // request's canonical cache key plus the deferred computation that
@@ -312,7 +316,7 @@ func (s *Server) handleCompute(endpoint string, build buildFunc) http.HandlerFun
 		case errors.Is(err, errQueueFull):
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 			s.finish(w, endpoint, start, http.StatusTooManyRequests, errorBody(err), "")
-		case errors.Is(err, errAbandoned):
+		case errors.Is(err, errAbandoned), errors.Is(err, errDraining):
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 			s.finish(w, endpoint, start, http.StatusServiceUnavailable, errorBody(err), "")
 		case errors.Is(err, context.DeadlineExceeded):
@@ -380,7 +384,12 @@ func (s *Server) do(ctx context.Context, endpoint, key string, compute func() ([
 				}
 				s.cache.finish(key, fl, b, cerr)
 			}
-			if !s.pool.trySubmit(job) {
+			switch {
+			case s.draining.Load():
+				// Flights admitted before the drain, and joins onto
+				// them, still complete.
+				s.cache.finish(key, fl, nil, errDraining)
+			case !s.pool.trySubmit(job):
 				s.metrics.queueRejected()
 				s.cache.finish(key, fl, nil, errQueueFull)
 			}

@@ -348,8 +348,30 @@ func TestShutdownDrainsInflightBatch(t *testing.T) {
 		shutDone <- s.Shutdown(ctx)
 	}()
 
+	// Drain begins before the listener closes. From then on a request
+	// that would start a new computation gets a retryable 503 at once,
+	// instead of queueing behind the blocked worker.
+	for !s.Draining() {
+		if time.Now().After(deadline) {
+			t.Fatal("shutdown never began draining")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/bounds?n=4&pd=0.2", nil))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("new computation during drain: status %d, Retry-After %q; want 503 with Retry-After",
+			rec.Code, rec.Header().Get("Retry-After"))
+	}
+	var metrics strings.Builder
+	s.metrics.write(&metrics, s.cache.stats(), s.pool.depth())
+	if !strings.Contains(metrics.String(), `capserver_requests_total{endpoint="bounds",code="503"} 1`) {
+		t.Fatalf("drain refusal not counted as a 503:\n%s", metrics.String())
+	}
+
 	// New work must be rejected while the batch drains: the listener
 	// closes, so fresh connections fail.
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("listener still accepting new connections during drain")

@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,26 +20,15 @@ import (
 	"repro/internal/rng"
 )
 
-// This file is the multi-node fault harness behind `capload -mode
-// cluster` and `make cluster-smoke`: it stands up an N-node cluster of
-// real capserver processes-in-miniature (each with its own listener,
-// LRU, worker pool and cluster router, all sharing one casstore
-// directory), replays a seeded workload against it while killing and
-// restarting a node mid-run, and checks the two properties the cluster
-// design promises:
-//
-//   - byte identity: every response body equals what a single plain
-//     capserver (the oracle) produces for the same path, regardless of
-//     which node served it, whether it was forwarded, hedged, or
-//     degraded;
-//   - convergence: after the killed node restarts over the shared
-//     store, re-issuing the run's unique paths against it directly is
-//     pure cache traffic (LRU hit or store hit) — the cluster never
-//     recomputes a point it has already computed anywhere.
-//
-// The workload, the per-request dispatch choice, and the kill/restart
-// schedule are pure functions of the options, so a failing run is
-// replayable bit-for-bit.
+// This file is the compute fault scenario behind `capload -mode
+// cluster` and `make cluster-smoke` (DESIGN.md §11): a seeded workload
+// against a Fleet over one shared casstore directory, with a member
+// killed and restarted mid-run. It checks byte identity (every response
+// equals the single-node oracle's body, however it was routed) and
+// convergence (the restarted member serves every point the run already
+// computed from its LRU or the store, never recomputing). Workload,
+// dispatch and fault schedule are pure functions of the options, so a
+// failing run replays bit-for-bit.
 
 // HarnessOptions configures a cluster fault-harness run.
 type HarnessOptions struct {
@@ -81,9 +70,9 @@ type HarnessOptions struct {
 	// Workers, QueueDepth, CacheEntries configure each node's
 	// capserver (defaults: 2, 64, 1024).
 	Workers, QueueDepth, CacheEntries int
-	// Trace turns on request tracing: every incarnation gets its own
-	// tracer (seeded with its generation number, so a restart cannot
-	// replay IDs), and the run ends by analyzing the merged spans and
+	// Trace turns on request tracing: each member gets a tracer, every
+	// incarnation is seeded with its generation number (so a restart
+	// cannot replay IDs), and the run ends by analyzing the spans and
 	// reconciling them against the routing counters.
 	Trace bool
 	// TraceDir, when set, implies Trace and writes each member's
@@ -311,34 +300,9 @@ func (r *HarnessReport) Assert() error {
 	return nil
 }
 
-// incarnation is the observable state of one member generation: its
-// routing counters and, on traced runs, its tracer and span buffer. A
-// killed-and-restarted member has two; the report sums and merges all
-// of them.
-type incarnation struct {
-	metrics *Metrics
-	tracer  *obs.Tracer
-	buf     *bytes.Buffer
-}
-
-// proc is one running node incarnation.
-type proc struct {
-	name  string
-	addr  string
-	lis   net.Listener
-	hsrv  *http.Server
-	srv   *capserver.Server
-	node  *Node
-	store *casstore.Store
-	dead  bool
-}
-
 // RunHarness executes a cluster fault-harness run.
 func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 	o = o.withDefaults()
-	if o.KillAfter >= 0 && o.RestartAfter >= 0 && o.RestartAfter <= o.KillAfter {
-		return nil, fmt.Errorf("cluster: -restart-after (%d) must exceed -kill-after (%d)", o.RestartAfter, o.KillAfter)
-	}
 	storeDir := o.StoreDir
 	if storeDir == "" {
 		dir, err := os.MkdirTemp("", "capcluster-*")
@@ -349,187 +313,105 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 		storeDir = dir
 	}
 
-	// Bind every listener first: the membership needs real addresses
-	// before any node can route.
-	sortedNames := append([]string(nil), o.Nodes...)
-	sort.Strings(sortedNames)
-	var mem Membership
-	listeners := make(map[string]net.Listener, len(sortedNames))
-	for _, name := range sortedNames {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		defer l.Close() // no-op once a server owns it
-		listeners[name] = l
-		mem.Members = append(mem.Members, Member{Name: name, URL: "http://" + l.Addr().String()})
-	}
-
 	srvCfg := capserver.Config{
 		Workers:      o.Workers,
 		QueueDepth:   o.QueueDepth,
 		CacheEntries: o.CacheEntries,
 	}
-	nodeCfg := Config{
-		Membership:  mem,
-		HedgeDelay:  o.HedgeDelay,
-		PeerBackoff: o.PeerBackoff,
-		PeerTimeout: 30 * time.Second,
+	// On traced runs each member's incarnations share one tracer; the
+	// generation seeds their trace IDs apart (Config.TraceSeed).
+	bufs := make(map[string]*bytes.Buffer)
+	tracers := make(map[string]*obs.Tracer)
+	if o.Trace {
+		for _, name := range o.Nodes {
+			bufs[name] = &bytes.Buffer{}
+			tracers[name] = obs.NewTracer(bufs[name])
+		}
 	}
-
-	// incarnations collects every generation of every member — current
-	// and replaced — so the report sums a member's whole history.
-	incarnations := make(map[string][]*incarnation)
-	startNode := func(name string, l net.Listener) (*proc, error) {
+	fleet, err := NewFleet(o.Nodes, func(name string, generation int, mem Membership) (*capserver.Server, *Node, error) {
 		st, err := casstore.Open(storeDir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cfg := srvCfg
 		cfg.Store = st
 		srv := capserver.New(cfg)
-		ncfg := nodeCfg
-		ncfg.Self = name
-		ncfg.Metrics = nil // fresh counters per incarnation
-		inc := &incarnation{}
-		if o.Trace {
-			// The generation number seeds the incarnation's trace IDs: a
-			// restart resets the per-node sequence, and a distinct seed is
-			// what keeps the new incarnation's IDs disjoint from the old.
-			inc.buf = &bytes.Buffer{}
-			inc.tracer = obs.NewTracer(inc.buf)
-			ncfg.Tracer = inc.tracer
-			ncfg.TraceSeed = uint64(len(incarnations[name]) + 1)
+		ncfg := Config{
+			Self:        name,
+			Membership:  mem,
+			HedgeDelay:  o.HedgeDelay,
+			PeerBackoff: o.PeerBackoff,
+			Tracer:      tracers[name],
+			TraceSeed:   uint64(generation),
 		}
 		node, err := NewNode(srv, ncfg)
-		if err != nil {
-			return nil, err
-		}
-		inc.metrics = node.Metrics()
-		incarnations[name] = append(incarnations[name], inc)
-		p := &proc{
-			name:  name,
-			addr:  l.Addr().String(),
-			lis:   l,
-			hsrv:  &http.Server{Handler: node.Handler()},
-			srv:   srv,
-			node:  node,
-			store: st,
-		}
-		go func() { _ = p.hsrv.Serve(l) }()
-		return p, nil
-	}
-
-	procs := make(map[string]*proc, len(sortedNames))
-	for _, name := range sortedNames {
-		p, err := startNode(name, listeners[name])
-		if err != nil {
-			return nil, err
-		}
-		procs[name] = p
-	}
-	defer func() {
-		for _, p := range procs {
-			if !p.dead {
-				_ = p.hsrv.Close()
-			}
-		}
-	}()
-
-	// The oracle: one plain capserver, no cluster, no store. Its
-	// bodies are the ground truth every cluster response must match.
-	oracleSrv := capserver.New(srvCfg)
-	oracleLis, err := net.Listen("tcp", "127.0.0.1:0")
+		return srv, node, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	go func() { _ = oracleSrv.Serve(oracleLis) }()
-	defer func() { _ = oracleLis.Close() }()
-	oracleBase := "http://" + oracleLis.Addr().String()
+	defer fleet.Close()
+	names := fleet.Names()
+	plan, err := newFaultPlan(names, o.KillNode, o.KillAfter, o.RestartAfter)
+	if err != nil {
+		return nil, err
+	}
+	victim := plan.victim
 
-	client := &http.Client{Timeout: 60 * time.Second}
+	// The oracle: one plain capserver, no cluster, no store, called in
+	// process. Its bodies are the ground truth every cluster response
+	// must match.
+	oracle := capserver.New(srvCfg)
+	defer oracle.Shutdown(context.Background())
 	oracleBodies := make(map[string][]byte)
 	oracleBody := func(path string) ([]byte, error) {
 		if b, ok := oracleBodies[path]; ok {
 			return b, nil
 		}
-		resp, err := client.Get(oracleBase + path)
-		if err != nil {
-			return nil, fmt.Errorf("oracle %s: %v", path, err)
+		rec := httptest.NewRecorder()
+		oracle.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			return nil, fmt.Errorf("oracle %s: status %d", path, rec.Code)
 		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("oracle %s: status %d", path, resp.StatusCode)
-		}
-		oracleBodies[path] = b
-		return b, nil
+		oracleBodies[path] = rec.Body.Bytes()
+		return rec.Body.Bytes(), nil
 	}
+	client := &http.Client{Timeout: 60 * time.Second}
 
-	plan := capserver.PlanPaths(capserver.LoadOptions{
+	reqs := capserver.PlanPaths(capserver.LoadOptions{
 		Requests: o.Requests,
 		Seed:     o.Seed,
 		Unique:   o.Unique,
 		ExactN:   o.ExactN,
 	})
 
-	killName := o.KillNode
-	if killName == "" {
-		killName = sortedNames[len(sortedNames)/2]
-	}
-	if _, ok := procs[killName]; !ok {
-		return nil, fmt.Errorf("cluster: kill node %q is not a member", killName)
-	}
-
-	report := &HarnessReport{Requests: len(plan), Status: make(map[int]int)}
+	report := &HarnessReport{Requests: len(reqs), Status: make(map[int]int)}
 	dispatch := rng.NewStream(o.Seed, 0xd15)
 	var servedPaths []string
 	seenPath := make(map[string]bool)
 
 	start := time.Now()
-	for i, req := range plan {
-		if o.KillAfter >= 0 && i == o.KillAfter {
-			p := procs[killName]
-			_ = p.hsrv.Close()
-			p.dead = true
-			report.Killed = killName
-			fmt.Fprintf(o.Out, "request %d: killed %s (%s)\n", i, killName, p.addr)
+	for i, req := range reqs {
+		killed, restarted, err := plan.apply(fleet, i)
+		if err != nil {
+			return nil, err
 		}
-		if o.KillAfter >= 0 && o.RestartAfter >= 0 && i == o.RestartAfter {
-			old := procs[killName]
-			l, err := net.Listen("tcp", old.addr)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: restart %s on %s: %v", killName, old.addr, err)
-			}
-			p, err := startNode(killName, l)
-			if err != nil {
-				return nil, err
-			}
-			procs[killName] = p
+		if killed {
+			report.Killed = victim
+			fmt.Fprintf(o.Out, "request %d: killed %s (%s)\n", i, victim, fleet.Addr(victim))
+		}
+		if restarted {
 			report.Restarted = true
-			fmt.Fprintf(o.Out, "request %d: restarted %s (%s) cold over the shared store\n", i, killName, p.addr)
+			fmt.Fprintf(o.Out, "request %d: restarted %s (%s) cold over the shared store\n", i, victim, fleet.Addr(victim))
 		}
 
-		// Client-side dispatch: a seeded pick over all members, with
-		// failover rotation on transport errors (the client does not
-		// know which node is dead — it discovers it).
-		pick := dispatch.Intn(len(sortedNames))
-		var resp *http.Response
-		var lastErr error
-		for attempt := 0; attempt < len(sortedNames); attempt++ {
-			p := procs[sortedNames[(pick+attempt)%len(sortedNames)]]
-			resp, lastErr = client.Get("http://" + p.addr + req.Path)
-			if lastErr == nil {
-				break
-			}
-			report.Failovers++
-		}
-		if lastErr != nil {
+		resp, refused, err := fleet.send(dispatch, func(base string) (*http.Response, error) {
+			return client.Get(base + req.Path)
+		})
+		report.Failovers += refused
+		if err != nil {
 			report.Mismatches++
-			fmt.Fprintf(o.Out, "request %d: every node refused %s: %v\n", i, req.Path, lastErr)
+			fmt.Fprintf(o.Out, "request %d: every node refused %s: %v\n", i, req.Path, err)
 			continue
 		}
 		body, err := io.ReadAll(resp.Body)
@@ -568,10 +450,9 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 	// it cannot forward), must serve every path the run computed from
 	// its LRU or the shared store — never by recomputing.
 	if report.Restarted {
-		p := procs[killName]
 		report.Convergence.Paths = len(servedPaths)
 		for _, path := range servedPaths {
-			hreq, err := http.NewRequest(http.MethodGet, "http://"+p.addr+path, nil)
+			hreq, err := http.NewRequest(http.MethodGet, fleet.URL(victim)+path, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -600,29 +481,18 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 
 	// On traced runs, quiesce before reading counters and spans: a
 	// hedge loser or backoff-waiting retry goroutine can increment its
-	// counter and emit its span microseconds after the client already
-	// has the response, and reconciliation demands both sides of every
-	// such pair land in the snapshot. The settle bounds those
-	// stragglers (their contexts are canceled; backoffs are
-	// milliseconds), and the graceful shutdown then drains every
-	// still-running handler so nothing races the collection.
+	// counter and emit its span after the client already has the
+	// response, and reconciliation demands both sides of every such
+	// pair land in the snapshot.
 	if o.Trace {
-		time.Sleep(300 * time.Millisecond)
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		for _, name := range sortedNames {
-			if p := procs[name]; !p.dead {
-				_ = p.hsrv.Shutdown(sctx)
-				p.dead = true
-			}
-		}
-		cancel()
+		fleet.Quiesce()
 	}
 
 	// Per-member counters across every incarnation.
-	for _, name := range sortedNames {
+	for _, name := range names {
 		c := NodeCounters{Name: name}
-		for _, inc := range incarnations[name] {
-			m := inc.metrics
+		for _, node := range fleet.Incarnations(name) {
+			m := node.Metrics()
 			c.OwnedLocal += m.OwnedLocal()
 			c.Forwards += m.Forwards()
 			c.Hedges += m.Hedges()
@@ -638,18 +508,14 @@ func RunHarness(o HarnessOptions) (*HarnessReport, error) {
 	// Merge each member's incarnation traces, analyze, and reconcile
 	// against the counters just read.
 	if o.Trace {
-		traces := make(map[string][]byte, len(sortedNames))
+		traces := make(map[string][]byte, len(names))
 		var allSpans []obs.ReqSpan
-		for _, name := range sortedNames {
-			var merged bytes.Buffer
-			for _, inc := range incarnations[name] {
-				if err := inc.tracer.Flush(); err != nil {
-					return nil, fmt.Errorf("cluster: flushing %s trace: %v", name, err)
-				}
-				merged.Write(inc.buf.Bytes())
+		for _, name := range names {
+			if err := tracers[name].Flush(); err != nil {
+				return nil, fmt.Errorf("cluster: flushing %s trace: %v", name, err)
 			}
-			traces[name] = append([]byte(nil), merged.Bytes()...)
-			spans, err := obs.ReadReqSpans(&merged)
+			traces[name] = bufs[name].Bytes()
+			spans, err := obs.ReadReqSpans(bytes.NewReader(traces[name]))
 			if err != nil {
 				return nil, fmt.Errorf("cluster: parsing %s trace: %v", name, err)
 			}

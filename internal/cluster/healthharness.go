@@ -3,9 +3,8 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -171,15 +170,6 @@ func (r *HealthReport) Assert(survivors []string) error {
 	return nil
 }
 
-// healthProc is one running member of the health harness.
-type healthProc struct {
-	name string
-	addr string
-	hsrv *http.Server
-	srv  *capserver.Server
-	dead bool
-}
-
 // RunHealthHarness executes one alert-lifecycle harness run and
 // returns the report plus the surviving member names (Assert's input).
 func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
@@ -193,26 +183,12 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 		return nil, nil, err
 	}
 
-	sortedNames := append([]string(nil), o.Nodes...)
-	sort.Strings(sortedNames)
-	var mem Membership
-	listeners := make(map[string]net.Listener, len(sortedNames))
-	for _, name := range sortedNames {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		defer l.Close() // no-op once a server owns it
-		listeners[name] = l
-		mem.Members = append(mem.Members, Member{Name: name, URL: "http://" + l.Addr().String()})
-	}
-
 	// Every member runs the engine on explicit ticks (HealthTick 0: no
 	// wall-clock ticker) over a registry shared between the capserver
 	// and its cluster router, so the degraded-routing rule can see the
 	// routing counters. Hedging is off: a hedge racing a retry would
 	// make the per-tick degraded count depend on timing.
-	startNode := func(name string, l net.Listener) (*healthProc, error) {
+	fleet, err := NewFleet(o.Nodes, func(name string, _ int, mem Membership) (*capserver.Server, *Node, error) {
 		reg := obs.NewRegistry()
 		srv := capserver.New(capserver.Config{
 			Workers:     2,
@@ -226,36 +202,14 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 			Metrics:     NewMetrics(reg),
 			HedgeDelay:  -1,
 			PeerBackoff: time.Millisecond,
-			PeerTimeout: 30 * time.Second,
 		})
-		if err != nil {
-			return nil, err
-		}
-		p := &healthProc{
-			name: name,
-			addr: l.Addr().String(),
-			hsrv: &http.Server{Handler: node.Handler()},
-			srv:  srv,
-		}
-		go func() { _ = p.hsrv.Serve(l) }()
-		return p, nil
+		return srv, node, err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-
-	procs := make(map[string]*healthProc, len(sortedNames))
-	for _, name := range sortedNames {
-		p, err := startNode(name, listeners[name])
-		if err != nil {
-			return nil, nil, err
-		}
-		procs[name] = p
-	}
-	defer func() {
-		for _, p := range procs {
-			if !p.dead {
-				_ = p.hsrv.Close()
-			}
-		}
-	}()
+	defer fleet.Close()
+	names := fleet.Names()
 
 	// The probe path: every request in the run hits it, so its ring
 	// owner is the member whose death degrades everyone else. The seed
@@ -265,22 +219,16 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	anyProc := procs[sortedNames[0]]
-	key, ok := anyProc.srv.Canonicalize(req)
+	key, ok := fleet.Server(names[0]).Canonicalize(req)
 	if !ok {
 		return nil, nil, fmt.Errorf("cluster: probe path %s is not canonicalizable", path)
 	}
-	ring, err := NewRing(sortedNames, 0)
+	killName := fleet.Incarnations(names[0])[0].Ring().Owner(key)
+	plan, err := newFaultPlan(names, killName, o.WarmTicks, o.WarmTicks+o.DeadTicks)
 	if err != nil {
 		return nil, nil, err
 	}
-	killName := ring.Owner(key)
-	var survivors []string
-	for _, name := range sortedNames {
-		if name != killName {
-			survivors = append(survivors, name)
-		}
-	}
+	survivors := slices.DeleteFunc(slices.Clone(names), func(name string) bool { return name == killName })
 
 	report := &HealthReport{Killed: killName}
 	monitor, err := health.NewEngine(health.Config{
@@ -297,23 +245,18 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 	// a pure function of the live set, so per-tick counter increments —
 	// and therefore the whole timeline — do not depend on Jobs.
 	sendTick := func() {
-		var live []*healthProc
-		for _, name := range sortedNames {
-			if p := procs[name]; !p.dead {
-				live = append(live, p)
-			}
-		}
+		live := fleet.Live()
 		sem := make(chan struct{}, o.Jobs)
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		for i := 0; i < o.RequestsPerTick; i++ {
-			p := live[i%len(live)]
+			base := fleet.URL(live[i%len(live)])
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(p *healthProc) {
+			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				resp, err := client.Get("http://" + p.addr + path)
+				resp, err := client.Get(base + path)
 				if err == nil {
 					_, _ = io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
@@ -327,7 +270,7 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 					report.Errors++
 				}
 				mu.Unlock()
-			}(p)
+			}()
 		}
 		wg.Wait()
 	}
@@ -338,7 +281,7 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 	var lastOwned int64
 	monitorTick := func(tick int) {
 		var snap obs.RegistrySnapshot
-		resp, err := client.Get("http://" + procs[killName].addr + "/metrics")
+		resp, err := client.Get(fleet.URL(killName) + "/metrics")
 		if err == nil {
 			body, rerr := io.ReadAll(resp.Body)
 			resp.Body.Close()
@@ -365,34 +308,21 @@ func RunHealthHarness(o HealthHarnessOptions) (*HealthReport, []string, error) {
 	total := o.WarmTicks + o.DeadTicks + o.RecoveryTicks
 	start := time.Now()
 	for tick := 0; tick < total; tick++ {
-		if tick == o.WarmTicks {
-			p := procs[killName]
-			report.PreKillOwned = lastOwned
-			_ = p.hsrv.Close()
-			p.dead = true
-			fmt.Fprintf(o.Out, "tick %d: killed %s (%s), owner of %s\n", tick, killName, p.addr, path)
+		killed, restarted, err := plan.apply(fleet, tick)
+		if err != nil {
+			return nil, nil, err
 		}
-		if tick == o.WarmTicks+o.DeadTicks {
-			old := procs[killName]
-			l, err := net.Listen("tcp", old.addr)
-			if err != nil {
-				return nil, nil, fmt.Errorf("cluster: restart %s on %s: %v", killName, old.addr, err)
-			}
-			p, err := startNode(killName, l)
-			if err != nil {
-				return nil, nil, err
-			}
-			procs[killName] = p
+		if killed {
+			report.PreKillOwned = lastOwned
+			fmt.Fprintf(o.Out, "tick %d: killed %s (%s), owner of %s\n", tick, killName, fleet.Addr(killName), path)
+		}
+		if restarted {
 			report.Restarted = true
-			fmt.Fprintf(o.Out, "tick %d: restarted %s (%s) with fresh counters\n", tick, killName, p.addr)
+			fmt.Fprintf(o.Out, "tick %d: restarted %s (%s) with fresh counters\n", tick, killName, fleet.Addr(killName))
 		}
 		sendTick()
-		for _, name := range sortedNames {
-			p := procs[name]
-			if p.dead {
-				continue
-			}
-			for _, tr := range p.srv.TickHealth() {
+		for _, name := range fleet.Live() {
+			for _, tr := range fleet.Server(name).TickHealth() {
 				report.Timeline = append(report.Timeline,
 					fmt.Sprintf("tick=%02d node=%s rule=%s %s->%s value=%s", tick, name, tr.Rule, tr.From, tr.To, tr.Value))
 			}

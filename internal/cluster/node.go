@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -125,6 +126,8 @@ type Node struct {
 	metrics *Metrics
 	// seq numbers the requests this node originates, for trace IDs.
 	seq atomic.Uint64
+	// peers counts forward's peer goroutines (see WaitPeers).
+	peers sync.WaitGroup
 }
 
 // NewNode builds the router for Self within the membership.
@@ -151,6 +154,11 @@ func NewNode(local localServer, cfg Config) (*Node, error) {
 
 // Metrics returns the node's routing counters.
 func (n *Node) Metrics() *Metrics { return n.metrics }
+
+// WaitPeers blocks until every peer goroutine has returned. A hedge
+// loser or a retry in backoff outlives its handler and can still count
+// and emit a span; call it once no handler can start a forward.
+func (n *Node) WaitPeers() { n.peers.Wait() }
 
 // Ring returns the node's placement ring (tests and diagnostics).
 func (n *Node) Ring() *Ring { return n.ring }
@@ -348,7 +356,9 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, key, owner, id st
 	defer cancel()
 
 	results := make(chan peerResult, 2)
+	n.peers.Add(1)
 	go func() {
+		defer n.peers.Done()
 		results <- n.tryPeer(pctx, owner, uri, n.cfg.PeerAttempts, false, id)
 	}()
 	inflight := 1
@@ -396,7 +406,9 @@ race:
 				})
 			}
 			inflight++
+			n.peers.Add(1)
 			go func() {
+				defer n.peers.Done()
 				results <- n.tryPeer(pctx, hedge, uri, 1, true, id)
 			}()
 		case <-r.Context().Done():

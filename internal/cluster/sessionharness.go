@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -17,29 +15,17 @@ import (
 	"repro/internal/session"
 )
 
-// This file is the session-sharded counterpart of the fault harness in
-// harness.go, behind `sessload -mode cluster` and `make
-// sessions-smoke`: it stands up an N-node cluster, streams per-session
-// event batches through whichever node the seeded client picks (the
-// routers forward each batch to the session's ring owner), kills and
-// restarts the owner of a slice of the sessions mid-run, and checks
-// the properties session sharding promises:
-//
-//   - single ownership: every batch for a session lands on exactly one
-//     node, wherever the client sent it, and reads through any node
-//     return that owner's state;
-//   - honest unavailability: while a session's owner is down, writes
-//     and reads for it fail with 502 — they are never served from a
-//     stale twin elsewhere (the no-degrade discipline of
-//     Node.routeSession);
-//   - recovery: after the owner restarts, clients resume their event
-//     streams (use indices keep climbing past the outage) and every
-//     session completes its full planned stream.
-//
-// Session state is in-memory by design — the estimator is a live
-// tally, not a durable log — so a restarted owner serves resumed
-// sessions with post-restart counts. The harness therefore asserts on
-// the use cursor (monotone, client-driven, survives the outage), not
+// This file is the session scenario behind `sessload -mode cluster`
+// and `make sessions-smoke` (DESIGN.md §13): seeded per-session event
+// batches enter a Fleet through whichever member the client picks, the
+// routers forward each to the session's ring owner, and the owner of a
+// slice of the sessions is killed and restarted mid-run. It checks
+// single ownership (reads through any member return the owner's
+// state), honest unavailability (while the owner is down its sessions
+// answer 502, never a stale twin's state) and recovery (clients resume
+// past the outage and every session completes its planned stream).
+// Session state is in memory by design, so a restarted owner counts
+// from zero: the scenario asserts on the client-driven use cursor, not
 // on event totals.
 
 // SessionHarnessOptions configures a session fault-harness run.
@@ -220,73 +206,26 @@ func sessionPlanEvents(seed uint64, i, total int) []session.Event {
 // RunSessionHarness executes a session-sharded cluster fault run.
 func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 	o = o.withDefaults()
-	if o.KillAfter >= 0 && o.RestartAfter >= 0 && o.RestartAfter <= o.KillAfter {
-		return nil, fmt.Errorf("cluster: restart round (%d) must exceed kill round (%d)", o.RestartAfter, o.KillAfter)
-	}
-
-	sortedNames := append([]string(nil), o.Nodes...)
-	sort.Strings(sortedNames)
-	var mem Membership
-	listeners := make(map[string]net.Listener, len(sortedNames))
-	for _, name := range sortedNames {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		defer l.Close() // no-op once a server owns it
-		listeners[name] = l
-		mem.Members = append(mem.Members, Member{Name: name, URL: "http://" + l.Addr().String()})
-	}
-
-	incarnations := make(map[string][]*Metrics)
-	startNode := func(name string, l net.Listener) (*proc, error) {
+	fleet, err := NewFleet(o.Nodes, func(name string, _ int, mem Membership) (*capserver.Server, *Node, error) {
 		srv := capserver.New(capserver.Config{Workers: 2, SessionSweep: -1})
 		node, err := NewNode(srv, Config{
 			Self:        name,
 			Membership:  mem,
 			HedgeDelay:  -1, // sessions never hedge; compute traffic is absent here
 			PeerBackoff: time.Millisecond,
-			PeerTimeout: 30 * time.Second,
 		})
-		if err != nil {
-			return nil, err
-		}
-		incarnations[name] = append(incarnations[name], node.Metrics())
-		p := &proc{
-			name: name,
-			addr: l.Addr().String(),
-			lis:  l,
-			hsrv: &http.Server{Handler: node.Handler()},
-			srv:  srv,
-			node: node,
-		}
-		go func() { _ = p.hsrv.Serve(l) }()
-		return p, nil
+		return srv, node, err
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	procs := make(map[string]*proc, len(sortedNames))
-	for _, name := range sortedNames {
-		p, err := startNode(name, listeners[name])
-		if err != nil {
-			return nil, err
-		}
-		procs[name] = p
+	defer fleet.Close()
+	names := fleet.Names()
+	plan, err := newFaultPlan(names, o.KillNode, o.KillAfter, o.RestartAfter)
+	if err != nil {
+		return nil, err
 	}
-	defer func() {
-		for _, p := range procs {
-			if !p.dead {
-				_ = p.hsrv.Close()
-			}
-		}
-	}()
-
-	killName := o.KillNode
-	if killName == "" {
-		killName = sortedNames[len(sortedNames)/2]
-	}
-	if _, ok := procs[killName]; !ok {
-		return nil, fmt.Errorf("cluster: kill node %q is not a member", killName)
-	}
+	victim := plan.victim
 
 	report := &SessionHarnessReport{Sessions: o.Sessions, Rounds: o.Rounds, EventsPerBatch: o.EventsPerBatch}
 	client := &http.Client{Timeout: 30 * time.Second}
@@ -305,10 +244,10 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 	// seeded node pick (rotating past dead listeners) and advances the
 	// cursor on success. A 409 means an earlier ambiguous failure
 	// actually landed: the owner's cursor is ahead, so resync from its
-	// answer. Returns false when the owner was unreachable.
-	postBatch := func(i int) (bool, error) {
+	// answer. An unreachable owner counts as unavailable.
+	postBatch := func(i int) error {
 		if cursors[i] >= total {
-			return true, nil
+			return nil
 		}
 		end := cursors[i] + o.EventsPerBatch
 		if end > total {
@@ -316,78 +255,61 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 		}
 		var buf bytes.Buffer
 		if err := session.EncodeEvents(&buf, plans[i][cursors[i]:end]); err != nil {
-			return false, err
+			return err
 		}
-		pick := dispatch.Intn(len(sortedNames))
-		var resp *http.Response
-		var lastErr error
-		for attempt := 0; attempt < len(sortedNames); attempt++ {
-			p := procs[sortedNames[(pick+attempt)%len(sortedNames)]]
-			resp, lastErr = client.Post(
-				"http://"+p.addr+"/v1/sessions/"+ids[i]+"/events",
+		resp, _, err := fleet.send(dispatch, func(base string) (*http.Response, error) {
+			return client.Post(base+"/v1/sessions/"+ids[i]+"/events",
 				"application/x-ndjson", bytes.NewReader(buf.Bytes()))
-			if lastErr == nil {
-				break
-			}
-		}
-		if lastErr != nil {
+		})
+		if err != nil {
 			report.Unavailable++
-			return false, nil
+			return nil
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			report.Unavailable++
-			return false, nil
+			return nil
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
 			var ack capserver.SessionIngestResponse
 			if err := json.Unmarshal(body, &ack); err != nil {
-				return false, fmt.Errorf("session %s: bad ingest ack: %v", ids[i], err)
+				return fmt.Errorf("session %s: bad ingest ack: %v", ids[i], err)
 			}
 			report.Applied += int64(ack.Applied)
 			cursors[i] = end
-			return true, nil
+			return nil
 		case http.StatusConflict:
 			// The batch (or part of it) landed during an ambiguous
 			// failure; trust the owner's cursor and move past it.
 			report.Replayed++
 			cursors[i] = end
-			return true, nil
+			return nil
 		case http.StatusBadGateway, http.StatusServiceUnavailable:
 			report.Unavailable++
-			return false, nil
+			return nil
 		default:
-			return false, fmt.Errorf("session %s: unexpected ingest status %d: %s", ids[i], resp.StatusCode, body)
+			return fmt.Errorf("session %s: unexpected ingest status %d: %s", ids[i], resp.StatusCode, body)
 		}
 	}
 
 	start := time.Now()
 	for round := 0; round < o.Rounds; round++ {
-		if o.KillAfter >= 0 && round == o.KillAfter {
-			p := procs[killName]
-			_ = p.hsrv.Close()
-			p.dead = true
-			report.Killed = killName
-			fmt.Fprintf(o.Out, "round %d: killed %s (%s)\n", round, killName, p.addr)
+		killed, restarted, err := plan.apply(fleet, round)
+		if err != nil {
+			return nil, err
 		}
-		if o.KillAfter >= 0 && o.RestartAfter >= 0 && round == o.RestartAfter {
-			old := procs[killName]
-			l, err := net.Listen("tcp", old.addr)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: restart %s on %s: %v", killName, old.addr, err)
-			}
-			p, err := startNode(killName, l)
-			if err != nil {
-				return nil, err
-			}
-			procs[killName] = p
+		if killed {
+			report.Killed = victim
+			fmt.Fprintf(o.Out, "round %d: killed %s (%s)\n", round, victim, fleet.Addr(victim))
+		}
+		if restarted {
 			report.Restarted = true
-			fmt.Fprintf(o.Out, "round %d: restarted %s (%s)\n", round, killName, p.addr)
+			fmt.Fprintf(o.Out, "round %d: restarted %s (%s)\n", round, victim, fleet.Addr(victim))
 		}
 		for i := range plans {
-			if _, err := postBatch(i); err != nil {
+			if err := postBatch(i); err != nil {
 				return nil, err
 			}
 		}
@@ -395,26 +317,23 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 
 	// Drain: sessions that lost rounds to the outage finish their
 	// streams against the restarted owner. Bounded, and only useful
-	// when the owner came back.
-	for pass := 0; pass < 2*o.Rounds; pass++ {
-		pending := 0
+	// when the owner came back; postBatch skips finished sessions.
+	incomplete := func() (n int) {
 		for i := range plans {
 			if cursors[i] < total {
-				pending++
-				if _, err := postBatch(i); err != nil {
-					return nil, err
-				}
+				n++
 			}
 		}
-		if pending == 0 {
-			break
+		return n
+	}
+	for pass := 0; pass < 2*o.Rounds && incomplete() > 0; pass++ {
+		for i := range plans {
+			if err := postBatch(i); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for i := range plans {
-		if cursors[i] < total {
-			report.Incomplete++
-		}
-	}
+	report.Incomplete = incomplete()
 	report.Wall = time.Since(start)
 
 	// Final reads: each session through two distinct nodes must agree
@@ -422,8 +341,7 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 	// legitimately differs between a cache miss and the hit it seeds),
 	// and the owner's cursor must sit at the end of the planned stream.
 	readVia := func(nodeIdx, sessIdx int) (map[string]json.RawMessage, error) {
-		p := procs[sortedNames[nodeIdx%len(sortedNames)]]
-		resp, err := client.Get("http://" + p.addr + "/v1/sessions/" + ids[sessIdx])
+		resp, err := client.Get(fleet.URL(names[nodeIdx%len(names)]) + "/v1/sessions/" + ids[sessIdx])
 		if err != nil {
 			return nil, err
 		}
@@ -461,9 +379,10 @@ func RunSessionHarness(o SessionHarnessOptions) (*SessionHarnessReport, error) {
 		}
 	}
 
-	for _, name := range sortedNames {
+	for _, name := range names {
 		c := SessionNodeCounters{Name: name}
-		for _, m := range incarnations[name] {
+		for _, node := range fleet.Incarnations(name) {
+			m := node.Metrics()
 			c.Owned += m.SessionOwned()
 			c.Forwards += m.SessionForwards()
 			c.Retries += m.SessionRetries()

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -18,23 +17,9 @@ import (
 // /metrics, /v1/healthz) behind cluster routers on real listeners —
 // the federation endpoint probes members over HTTP, so fakes without
 // a /metrics page cannot exercise it.
-func statusTestCluster(t *testing.T) (map[string]string, func(name string)) {
+func statusTestCluster(t *testing.T) *Fleet {
 	t.Helper()
-	names := []string{"n1", "n2", "n3"}
-	var mem Membership
-	listeners := make(map[string]net.Listener, len(names))
-	bases := make(map[string]string, len(names))
-	for _, name := range names {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[name] = l
-		bases[name] = "http://" + l.Addr().String()
-		mem.Members = append(mem.Members, Member{Name: name, URL: bases[name]})
-	}
-	servers := make(map[string]*http.Server, len(names))
-	for _, name := range names {
+	f, err := NewFleet([]string{"n1", "n2", "n3"}, func(name string, _ int, mem Membership) (*capserver.Server, *Node, error) {
 		reg := obs.NewRegistry()
 		srv := capserver.New(capserver.Config{Workers: 2, QueueDepth: 16, Metrics: reg})
 		node, err := NewNode(srv, Config{
@@ -43,16 +28,13 @@ func statusTestCluster(t *testing.T) (map[string]string, func(name string)) {
 			HedgeDelay: -1, // keep post-request counter state deterministic
 			Metrics:    NewMetrics(reg),
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := &http.Server{Handler: node.Handler()}
-		servers[name] = hs
-		go func(l net.Listener) { _ = hs.Serve(l) }(listeners[name])
-		t.Cleanup(func() { _ = hs.Close() })
+		return srv, node, err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	kill := func(name string) { _ = servers[name].Close() }
-	return bases, kill
+	t.Cleanup(f.Close)
+	return f
 }
 
 func getBody(t *testing.T, url string) (int, []byte) {
@@ -75,21 +57,21 @@ func getBody(t *testing.T, url string) (int, []byte) {
 // assembled it, modulo the self marker — the probes' own side effects
 // (healthz counters, runtime gauges) are excluded by construction.
 func TestClusterStatusByteIdentical(t *testing.T) {
-	bases, _ := statusTestCluster(t)
+	f := statusTestCluster(t)
 
 	// A small deterministic workload through one door: forwards and
 	// owned serves land wherever the ring says, identically for every
 	// later snapshot.
 	for i := 0; i < 8; i++ {
-		code, _ := getBody(t, bases["n1"]+fmt.Sprintf("/v1/bounds?n=%d&pd=0.2", 4+i))
+		code, _ := getBody(t, f.URL("n1")+fmt.Sprintf("/v1/bounds?n=%d&pd=0.2", 4+i))
 		if code != http.StatusOK {
 			t.Fatalf("warm request %d: status %d", i, code)
 		}
 	}
 
-	normalized := make(map[string]string, len(bases))
-	for _, name := range []string{"n1", "n2", "n3"} {
-		code, body := getBody(t, bases[name]+StatusPath)
+	normalized := make(map[string]string, 3)
+	for _, name := range f.Names() {
+		code, body := getBody(t, f.URL(name)+StatusPath)
 		if code != http.StatusOK {
 			t.Fatalf("status via %s: %d", name, code)
 		}
@@ -163,10 +145,12 @@ func TestClusterStatusByteIdentical(t *testing.T) {
 // TestClusterStatusPartialOnDeadMember: a dead member makes the
 // snapshot partial, never an error.
 func TestClusterStatusPartialOnDeadMember(t *testing.T) {
-	bases, kill := statusTestCluster(t)
-	kill("n2")
+	f := statusTestCluster(t)
+	if err := f.Kill("n2"); err != nil {
+		t.Fatal(err)
+	}
 
-	code, body := getBody(t, bases["n1"]+StatusPath)
+	code, body := getBody(t, f.URL("n1")+StatusPath)
 	if code != http.StatusOK {
 		t.Fatalf("status with a dead member answered %d, want 200", code)
 	}
