@@ -2,8 +2,11 @@ package main
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // captureOut runs fn with stdout-shaped output into a temp file and
@@ -86,13 +89,13 @@ func TestClusterModeKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node fault harness")
 	}
-	bench := t.TempDir() + "/BENCH_cluster.json"
+	benchPath := t.TempDir() + "/BENCH_cluster.json"
 	out, err := captureOut(t, func(f *os.File) error {
 		return run([]string{
 			"-mode", "cluster", "-cluster", "n1,n2,n3",
 			"-requests", "90", "-unique", "8", "-exact-n", "8",
 			"-kill-after", "30", "-restart-after", "60",
-			"-store", t.TempDir(), "-bench-out", bench, "-assert",
+			"-store", t.TempDir(), "-bench-out", benchPath, "-assert",
 		}, f)
 	})
 	if err != nil {
@@ -100,22 +103,31 @@ func TestClusterModeKillRestart(t *testing.T) {
 	}
 	for _, want := range []string{
 		"killed n2", "restarted n2", "0 mismatches",
-		"convergence:", "cluster-assert:", "wrote " + bench,
+		"convergence:", "cluster-assert:", "wrote " + benchPath,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cluster output missing %q:\n%s", want, out)
 		}
 	}
 
-	// The file the run just wrote passes cluster-check.
-	out, err = captureOut(t, func(f *os.File) error {
-		return run([]string{"-mode", "cluster-check", bench}, f)
-	})
+	// The document the run wrote passes bench.Check, and its gates are
+	// the fault run's outcome conditions.
+	d, err := bench.Read(benchPath)
 	if err != nil {
-		t.Fatalf("cluster-check: %v\n%s", err, out)
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "ok") {
-		t.Errorf("cluster-check output: %s", out)
+	if err := bench.Check(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []bench.Gate{
+		{Metric: "mismatches", Op: "==", Bound: 0},
+		{Metric: "total.hedges", Op: ">", Bound: 0},
+		{Metric: "total.retries", Op: ">", Bound: 0},
+		{Metric: "total.degraded", Op: ">", Bound: 0},
+	} {
+		if !slices.Contains(d.Gates, g) {
+			t.Errorf("document lacks gate %+v", g)
+		}
 	}
 }
 
@@ -125,8 +137,7 @@ func TestClusterFlagValidation(t *testing.T) {
 		{"-mode", "cluster", "-kill-node", "ghost"}, // unknown kill target
 		{"-mode", "cluster", "-kill-after", "50", // restart before kill
 			"-restart-after", "10"},
-		{"-mode", "cluster-check"},                            // no file
-		{"-mode", "cluster-check", "/nonexistent/bench.json"}, // missing file
+		{"-mode", "cluster-check", "BENCH_cluster.json"}, // removed mode
 	}
 	for _, args := range cases {
 		if _, err := captureOut(t, func(f *os.File) error { return run(args, f) }); err == nil {

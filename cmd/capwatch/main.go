@@ -19,9 +19,9 @@
 //	                                             # -jobs 1 and -jobs 8
 //	capwatch -mode bench -bench-out BENCH_alerts.json
 //	                                             # rule-engine throughput
-//	                                             # trajectory
-//	capwatch -mode check BENCH_alerts.json       # validate a committed
-//	                                             # trajectory
+//	                                             # document, failing
+//	                                             # unless it passes
+//	                                             # bench.Check
 //
 // The harness timeline and the rendered page are pure functions of
 // their inputs: wall-clock timing goes to separate "timing:" lines so
@@ -39,6 +39,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/health"
 )
@@ -53,7 +54,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("capwatch", flag.ContinueOnError)
 	var (
-		mode     = fs.String("mode", "watch", "mode: watch | harness | bench | check")
+		mode     = fs.String("mode", "watch", "mode: watch | harness | bench")
 		target   = fs.String("target", "http://127.0.0.1:8080", "watch mode: any cluster member's base URL")
 		interval = fs.Duration("interval", 5*time.Second, "watch mode: repaint interval")
 		once     = fs.Bool("once", false, "watch mode: render one page and exit")
@@ -67,7 +68,7 @@ func run(args []string, out io.Writer) error {
 		rules    = fs.Int("rules", 400, "bench mode: rule count")
 		series   = fs.Int("series", 24, "bench mode: counter series count")
 		ticks    = fs.Int("ticks", 600, "bench mode: evaluation ticks")
-		benchOut = fs.String("bench-out", "", "bench mode: write the BENCH_alerts.json trajectory here")
+		benchOut = fs.String("bench-out", "", "bench mode: write the BENCH_alerts.json document here")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,41 +121,26 @@ func run(args []string, out io.Writer) error {
 
 	case "bench":
 		start := time.Now()
-		res, err := health.RunBench(*rules, *series, *ticks)
+		d, err := health.RunBench(*rules, *series, *ticks)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "bench: %d rules x %d ticks over %d series: %d transitions, %.0f evals/s, ring %d bytes\n",
-			res.Rules, res.Ticks, res.Series, res.Transitions, res.EvalsPerSec, res.RingBytes)
+		transitions, _ := d.Value("transitions")
+		evals, _ := d.Value("evals_per_sec")
+		ringBytes, _ := d.Value("ring_bytes")
+		fmt.Fprintf(out, "bench: %d rules x %d ticks over %d series: %.0f transitions, %.0f evals/s, ring %.0f bytes\n",
+			*rules, *ticks, *series, transitions, evals, ringBytes)
 		fmt.Fprintf(out, "timing: wall=%v\n", time.Since(start).Round(time.Millisecond))
 		if *benchOut != "" {
-			body, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*benchOut, append(body, '\n'), 0o644); err != nil {
+			if err := bench.Write(*benchOut, d); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "wrote %s\n", *benchOut)
 		}
 		return nil
 
-	case "check":
-		path := *benchOut
-		if fs.NArg() > 0 {
-			path = fs.Arg(0)
-		}
-		if path == "" {
-			return fmt.Errorf("check needs a trajectory file (positional or -bench-out)")
-		}
-		if err := health.CheckBench(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "check: %s ok\n", path)
-		return nil
-
 	default:
-		return fmt.Errorf("unknown mode %q (want watch, harness, bench or check)", *mode)
+		return fmt.Errorf("unknown mode %q (want watch, harness or bench)", *mode)
 	}
 }
 

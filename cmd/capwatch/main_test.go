@@ -1,11 +1,13 @@
 package main
 
 import (
+	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/capserver"
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -59,7 +61,8 @@ func TestWatchOnce(t *testing.T) {
 	}
 }
 
-// TestBenchCheckRoundTrip writes a trajectory and validates it.
+// TestBenchCheckRoundTrip writes a bench document and validates the
+// file with bench.Check.
 func TestBenchCheckRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_alerts.json")
 	var b strings.Builder
@@ -69,12 +72,15 @@ func TestBenchCheckRoundTrip(t *testing.T) {
 	if !strings.Contains(b.String(), "wrote "+path) {
 		t.Fatalf("bench output: %s", b.String())
 	}
-	var c strings.Builder
-	if err := run([]string{"-mode", "check", path}, &c); err != nil {
+	d, err := bench.Read(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(c.String(), "ok") {
-		t.Fatalf("check output: %s", c.String())
+	if err := bench.Check(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-mode", "check", path}, io.Discard); err == nil {
+		t.Error("removed check mode still accepted")
 	}
 }
 

@@ -2,8 +2,11 @@ package main
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // captureOut runs fn with stdout-shaped output into a temp file and
@@ -27,9 +30,9 @@ func captureOut(t *testing.T, fn func(out *os.File) error) (string, error) {
 }
 
 func TestRunModeAssertAndCheck(t *testing.T) {
-	bench := t.TempDir() + "/BENCH_sessions.json"
+	benchPath := t.TempDir() + "/BENCH_sessions.json"
 	args := []string{"-mode", "run", "-sessions", "200", "-seed", "7",
-		"-bench-out", bench, "-assert"}
+		"-bench-out", benchPath, "-assert"}
 	out, err := captureOut(t, func(f *os.File) error { return run(args, f) })
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out)
@@ -37,28 +40,33 @@ func TestRunModeAssertAndCheck(t *testing.T) {
 	for _, want := range []string{
 		"sessload seed=7 sessions=200 drift=20",
 		"converged:", "detected: 20/20 missed: 0",
-		"timing: wall=", "wrote " + bench, "sessload-assert:",
+		"timing: wall=", "wrote " + benchPath, "sessload-assert:",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("run output missing %q:\n%s", want, out)
 		}
 	}
 
-	// The trajectory the run just wrote passes check at its own scale
-	// but fails the committed file's 10^5 floor.
-	out, err = captureOut(t, func(f *os.File) error {
-		return run([]string{"-mode", "check", "-min-sessions", "200", bench}, f)
-	})
+	// The document the run wrote passes bench.Check, and its gates are
+	// the run's outcome conditions. The 10^5-session floor is a property
+	// of the committed file, checked by TestCommittedBenchFiles.
+	d, err := bench.Read(benchPath)
 	if err != nil {
-		t.Fatalf("check: %v\n%s", err, out)
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "ok") {
-		t.Errorf("check output: %s", out)
+	if err := bench.Check(d); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := captureOut(t, func(f *os.File) error {
-		return run([]string{"-mode", "check", bench}, f)
-	}); err == nil || !strings.Contains(err.Error(), "floor") {
-		t.Errorf("200-session trajectory passed the default 100000 floor: %v", err)
+	for _, g := range []bench.Gate{
+		{Metric: "events_total", Op: ">", Bound: 0},
+		{Metric: "events_per_sec", Op: ">", Bound: 0},
+		{Metric: "ns_per_event", Op: ">", Bound: 0},
+		{Metric: "drift_sessions", Op: ">", Bound: 0},
+		{Metric: "missed", Op: "<=", Bound: 0}, // 20 drift sessions: budget 20/1000
+	} {
+		if !slices.Contains(d.Gates, g) {
+			t.Errorf("document lacks gate %+v", g)
+		}
 	}
 }
 
@@ -86,9 +94,9 @@ func TestRunModeDeterministic(t *testing.T) {
 func TestFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-mode", "warp"},
-		{"-mode", "check"}, // no file
-		{"-mode", "check", "/nonexistent/bench.json"}, // missing file
-		{"-mode", "cluster", "-cluster", "solo"},      // < 2 members
+		{"-mode", "check", "BENCH_sessions.json"}, // removed mode
+		{"-mode", "run", "-min-sessions", "200"},  // removed flag
+		{"-mode", "cluster", "-cluster", "solo"},  // < 2 members
 		{"-mode", "run", "-sessions", "20", "-inject", "bogus=spec"},
 	}
 	for _, args := range cases {

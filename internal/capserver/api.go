@@ -279,7 +279,9 @@ func (q queryValues) intParam(name string, def, lo, hi int) (int, error) {
 	return v, nil
 }
 
-// floatParam parses a finite float parameter with a default.
+// floatParam parses a finite float parameter with a default. A zero
+// comes back as +0 whatever its sign, so "-0" shares the cache key and
+// the response body of "0".
 func (q queryValues) floatParam(name string, def float64) (float64, error) {
 	s := q.Get(name)
 	if s == "" {
@@ -291,6 +293,9 @@ func (q queryValues) floatParam(name string, def float64) (float64, error) {
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("parameter %s=%v must be finite", name, v)
+	}
+	if v == 0 {
+		return 0, nil
 	}
 	return v, nil
 }

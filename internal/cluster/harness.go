@@ -83,7 +83,9 @@ type HarnessOptions struct {
 	Out io.Writer
 }
 
-func (o HarnessOptions) withDefaults() HarnessOptions {
+// WithDefaults returns o with every unset field at its default: the
+// values RunHarness actually runs with.
+func (o HarnessOptions) WithDefaults() HarnessOptions {
 	if len(o.Nodes) == 0 {
 		o.Nodes = []string{"n1", "n2", "n3"}
 	}
@@ -302,7 +304,7 @@ func (r *HarnessReport) Assert() error {
 
 // RunHarness executes a cluster fault-harness run.
 func RunHarness(o HarnessOptions) (*HarnessReport, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	storeDir := o.StoreDir
 	if storeDir == "" {
 		dir, err := os.MkdirTemp("", "capcluster-*")

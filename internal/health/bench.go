@@ -1,53 +1,23 @@
 package health
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/obs"
 )
 
-// BenchSchema identifies the committed BENCH_alerts.json artifact.
-const BenchSchema = "capest/bench-alerts/v1"
-
-// BenchResult is the health-engine benchmark artifact: rule-evaluation
-// throughput over a synthetic snapshot stream plus the retained ring's
-// memory estimate. Wall-clock figures vary run to run (they are
-// measurements, not part of the determinism contract — exactly like
-// the other BENCH_*.json files); the structural fields are what
-// bench-smoke gates on.
-type BenchResult struct {
-	Schema string `json:"schema"`
-	Go     string `json:"go"`
-	// Rules, Series and Ticks are the synthetic workload's dimensions.
-	Rules  int `json:"rules"`
-	Series int `json:"series"`
-	Ticks  int `json:"ticks"`
-	// Transitions is how many alert transitions the stream caused (a
-	// sanity witness that rules actually evaluated and moved).
-	Transitions int     `json:"transitions"`
-	WallMS      float64 `json:"wall_ms"`
-	// EvalsPerSec is rule-evaluations per second (rules × ticks / wall).
-	EvalsPerSec float64 `json:"evals_per_sec"`
-	TicksPerSec float64 `json:"ticks_per_sec"`
-	// RingSnapshots and RingBytes describe the retained ring at the end
-	// of the run (RingBytes is the deterministic arithmetic estimate).
-	RingSnapshots int   `json:"ring_snapshots"`
-	RingBytes     int64 `json:"ring_bytes"`
-	Passed        bool  `json:"passed"`
-}
-
 // RunBench evaluates `rules` rate rules over `series` synthetic
-// counters for `ticks` ticks on a retention-128 ring and measures
-// throughput. The counter trajectories are deterministic (value =
-// tick × stride per series, with a mid-run plateau so rules resolve as
-// well as fire); only the timing figures vary.
-func RunBench(rules, series, ticks int) (BenchResult, error) {
+// counters for `ticks` ticks on a retention-128 ring, measures
+// throughput, and returns the BENCH_alerts.json document. The counter
+// trajectories are deterministic (value = tick × stride per series,
+// with a mid-run plateau so rules resolve as well as fire); only the
+// timing figures vary. The gates require that the stream moved a rule,
+// that throughput is positive and that the ring retained snapshots.
+func RunBench(rules, series, ticks int) (*bench.Doc, error) {
 	if rules < 1 || series < 1 || ticks < 2 {
-		return BenchResult{}, fmt.Errorf("health bench: need rules>=1 series>=1 ticks>=2")
+		return nil, fmt.Errorf("health bench: need rules>=1 series>=1 ticks>=2")
 	}
 	names := make([]string, series)
 	for i := range names {
@@ -62,11 +32,11 @@ func RunBench(rules, series, ticks int) (BenchResult, error) {
 	}
 	parsed, err := ParseRules(text)
 	if err != nil {
-		return BenchResult{}, err
+		return nil, err
 	}
 	e, err := NewEngine(Config{Rules: parsed, Retention: 128, TickInterval: time.Second})
 	if err != nil {
-		return BenchResult{}, err
+		return nil, err
 	}
 
 	transitions := 0
@@ -86,51 +56,19 @@ func RunBench(rules, series, ticks int) (BenchResult, error) {
 	}
 	wall := time.Since(start)
 
-	r := BenchResult{
-		Schema:        BenchSchema,
-		Go:            runtime.Version(),
-		Rules:         rules,
-		Series:        series,
-		Ticks:         ticks,
-		Transitions:   transitions,
-		WallMS:        float64(wall) / float64(time.Millisecond),
-		RingSnapshots: e.Ring().Len(),
-		RingBytes:     e.Ring().MemoryBytes(),
+	d := bench.New("alerts", map[string]any{"retention": 128})
+	d.Add("rules", float64(rules), "count")
+	d.Add("series", float64(series), "count")
+	d.Add("ticks", float64(ticks), "count")
+	d.Add("transitions", float64(transitions), "count")
+	d.Add("wall_ms", float64(wall)/float64(time.Millisecond), "ms")
+	d.Add("evals_per_sec", float64(rules*ticks)/wall.Seconds(), "1/s")
+	d.Add("ticks_per_sec", float64(ticks)/wall.Seconds(), "1/s")
+	d.Add("ring_snapshots", float64(e.Ring().Len()), "count")
+	d.Add("ring_bytes", float64(e.Ring().MemoryBytes()), "bytes")
+	for _, m := range []string{"transitions", "wall_ms", "evals_per_sec", "ticks_per_sec", "ring_snapshots", "ring_bytes"} {
+		d.Require(m, ">", 0)
 	}
-	if secs := wall.Seconds(); secs > 0 {
-		r.EvalsPerSec = float64(rules*ticks) / secs
-		r.TicksPerSec = float64(ticks) / secs
-	}
-	r.Passed = r.Transitions > 0 && r.RingBytes > 0 && r.EvalsPerSec > 0
-	return r, nil
-}
-
-// CheckBench validates a committed BENCH_alerts.json: schema, sane
-// workload dimensions, positive throughput and ring figures, and the
-// run's own pass verdict. It gates shape and plausibility, not exact
-// numbers — timings differ across machines.
-func CheckBench(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var r BenchResult
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	switch {
-	case r.Schema != BenchSchema:
-		return fmt.Errorf("%s: schema %q, want %q", path, r.Schema, BenchSchema)
-	case r.Rules < 100 || r.Series < 10 || r.Ticks < 100:
-		return fmt.Errorf("%s: workload too small (rules=%d series=%d ticks=%d)", path, r.Rules, r.Series, r.Ticks)
-	case r.Transitions <= 0:
-		return fmt.Errorf("%s: no transitions — the bench stream never moved a rule", path)
-	case r.EvalsPerSec <= 0 || r.TicksPerSec <= 0 || r.WallMS <= 0:
-		return fmt.Errorf("%s: non-positive throughput", path)
-	case r.RingSnapshots <= 0 || r.RingBytes <= 0:
-		return fmt.Errorf("%s: empty ring", path)
-	case !r.Passed:
-		return fmt.Errorf("%s: recorded run did not pass", path)
-	}
-	return nil
+	d.Passed = true
+	return d, nil
 }

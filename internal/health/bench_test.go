@@ -1,43 +1,26 @@
 package health
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 func TestRunBenchSmall(t *testing.T) {
-	r, err := RunBench(100, 10, 100)
+	d, err := RunBench(100, 10, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Passed {
-		t.Fatalf("bench did not pass: %+v", r)
+	if err := bench.Check(d); err != nil {
+		t.Fatalf("fresh run fails its gates: %v", err)
 	}
-	if r.Transitions == 0 {
+	if v, _ := d.Value("transitions"); v == 0 {
 		t.Error("no transitions — synthetic stream never crossed a threshold")
 	}
-	if r.RingBytes <= 0 || r.RingSnapshots != 100 {
-		t.Errorf("ring: %d snapshots, %d bytes", r.RingSnapshots, r.RingBytes)
-	}
-
-	// The artifact round-trips through CheckBench.
-	path := filepath.Join(t.TempDir(), "bench.json")
-	raw, _ := json.Marshal(r)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckBench(path); err != nil {
-		t.Errorf("CheckBench rejected a fresh run: %v", err)
-	}
-
-	// And rejects a broken one.
-	r.Schema = "bogus"
-	raw, _ = json.Marshal(r)
-	os.WriteFile(path, raw, 0o644)
-	if err := CheckBench(path); err == nil {
-		t.Error("CheckBench accepted a bad schema")
+	snaps, _ := d.Value("ring_snapshots")
+	bytes, _ := d.Value("ring_bytes")
+	if bytes <= 0 || snaps != 100 {
+		t.Errorf("ring: %v snapshots, %v bytes", snaps, bytes)
 	}
 }
 

@@ -58,8 +58,9 @@ type LoadConfig struct {
 	Store *Store
 }
 
-// withDefaults fills unset fields.
-func (c LoadConfig) withDefaults() LoadConfig {
+// WithDefaults returns c with every unset field at its default: the
+// configuration Run actually runs with.
+func (c LoadConfig) WithDefaults() LoadConfig {
 	if c.Sessions == 0 {
 		c.Sessions = 1000
 	}
@@ -155,7 +156,7 @@ type Report struct {
 // rng streams from (Seed, index) and outcomes aggregate in index
 // order.
 func Run(cfg LoadConfig) (*Report, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	spec, err := faultinject.ParseSpec(cfg.Inject)
 	if err != nil {
 		return nil, err
