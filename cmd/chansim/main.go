@@ -12,7 +12,7 @@
 //	chansim -proto counter -n 4 -pd 0.1 -trace run.jsonl
 //
 // With -inject the channel is wrapped in the given fault-injection
-// stack and the protocol runs under syncproto.Supervisor (per-attempt
+// stack and the protocol runs under syncproto.Supervise (per-attempt
 // deadlines, bounded backoff, Counter resync); the report then carries
 // a supervision block. Injection applies to the channel-backed
 // protocols (arq, counter, naive, delayed); syncvar and event have no
@@ -267,11 +267,15 @@ func run(args []string) (err error) {
 }
 
 // runInjected runs a channel-backed protocol over a fault-injected
-// channel under supervision: base channel -> fault stack -> use meter,
-// with a Counter resync fallback and per-attempt use deadlines. With
-// tracing enabled an obs.ChannelRecorder sits between the stack and
-// the meter and the supervisor emits its state machine to the tracer.
+// channel under syncproto.Supervise: base channel -> fault stack ->
+// use meter, with a Counter resync fallback and per-attempt use
+// deadlines. With tracing or metrics enabled an obs.ChannelRecorder
+// sits between the stack and the meter, and the supervisor emits its
+// state machine to the tracer.
 func runInjected(proto string, n int, pd, pi float64, delay int, seed uint64, spec string, msg []uint32, sink *obsSink) error {
+	if proto == "syncvar" || proto == "event" {
+		return fmt.Errorf("-inject applies to channel-backed protocols (arq, counter, naive, delayed); %q has no channel to inject into", proto)
+	}
 	parsed, err := faultinject.ParseSpec(spec)
 	if err != nil {
 		return err
@@ -290,57 +294,18 @@ func runInjected(proto string, n int, pd, pi float64, delay int, seed uint64, sp
 	if err != nil {
 		return err
 	}
-	var metered syncproto.UseChannel = stack
+	var ch syncproto.UseChannel = stack
 	if sink.tracer != nil || sink.metrics != "" {
 		rec, rerr := obs.NewChannelRecorder(stack, sink.tracer, stack.Injected)
 		if rerr != nil {
 			return rerr
 		}
 		sink.rec = rec
-		metered = rec
+		ch = rec
 	}
-	meter, err := syncproto.NewUseMeter(metered)
-	if err != nil {
-		return err
-	}
-	var active syncproto.Protocol
-	switch proto {
-	case "arq":
-		active, err = syncproto.NewARQOver(meter, n)
-	case "counter":
-		active, err = syncproto.NewCounterOver(meter, n)
-	case "naive":
-		active, err = syncproto.NewNaiveOver(meter, n)
-	case "delayed":
-		active, err = syncproto.NewDelayedARQOver(meter, n, params.Pd, delay)
-	case "syncvar", "event":
-		return fmt.Errorf("-inject applies to channel-backed protocols (arq, counter, naive, delayed); %q has no channel to inject into", proto)
-	default:
-		return fmt.Errorf("unknown protocol %q (want arq, counter, naive or delayed with -inject)", proto)
-	}
-	if err != nil {
-		return err
-	}
-	resync, err := syncproto.NewCounterOver(meter, n)
-	if err != nil {
-		return err
-	}
-	scfg := syncproto.SupervisorConfig{
-		ChunkSymbols:   256,
-		MaxAttempts:    4,
-		BackoffBase:    32,
-		ErrorThreshold: 0.25,
-		Tracer:         sink.tracer,
-	}
-	scfg.AttemptUses = 8 * scfg.ChunkSymbols
-	if proto == "delayed" {
-		scfg.AttemptUses *= 1 + delay
-	}
-	sup, err := syncproto.NewSupervisor(active, resync, meter, scfg)
-	if err != nil {
-		return err
-	}
-	res, err := sup.Run(msg)
+	res, err := syncproto.Supervise(ch, syncproto.SuperviseSpec{
+		Proto: proto, N: n, Pd: params.Pd, Delay: delay, Tracer: sink.tracer,
+	}, msg)
 	if err != nil {
 		return err
 	}

@@ -184,7 +184,7 @@ func seedArg(v uint64) fuzzParam {
 	return fuzzParam{name: "seed", spellings: []string{s, "0" + s, "00" + s}, optional: v == 1, bad: badSeed}
 }
 
-// randomOkPoint draws a valid point on one of the three endpoints from
+// randomOkPoint draws a valid point on one of the four endpoints from
 // parameter ranges that compute in well under a millisecond or so.
 func randomOkPoint(r *rand.Rand) fuzzPoint {
 	pd := pick(r, 0, 0.05, 0.1, 0.2, 0.25, 0.5)
@@ -225,6 +225,7 @@ func randomOkPoint(r *rand.Rand) fuzzPoint {
 			intArg("delay", r.Intn(5), 1, 64),
 		}}
 	default:
+		path := pick(r, "/v1/simulate", "/v1/trace")
 		proto := pick(r, "arq", "counter", "naive", "delayed")
 		pi := 0.0
 		if proto == "counter" || proto == "naive" {
@@ -235,7 +236,7 @@ func randomOkPoint(r *rand.Rand) fuzzPoint {
 			inject = fuzzParam{name: "inject", bad: inject.bad,
 				spellings: []string{"drift=0.25", "DRIFT=0.25", " drift = .25", "drift=2.5e-1;", "drift=0.250,"}}
 		}
-		return fuzzPoint{path: "/v1/simulate", params: []fuzzParam{
+		p := fuzzPoint{path: path, params: []fuzzParam{
 			{name: "proto", spellings: []string{proto}, bad: []string{"bogus", "Naive", ""}},
 			intArg("n", 1+r.Intn(4), 4, 16),
 			floatArg("pd", pd, 0.2, badProb),
@@ -245,27 +246,33 @@ func randomOkPoint(r *rand.Rand) fuzzPoint {
 			seedArg(uint64(1 + r.Intn(9))),
 			inject,
 		}}
+		if path == "/v1/trace" {
+			// /v1/simulate takes no ps, so only /v1/trace may reject one.
+			p.params = append(p.params, floatArg("ps", pick(r, 0, 0.02, 0.1), 0, badProb))
+		}
+		return p
 	}
 }
 
 // counters is every counter a rejected request must leave alone: the
 // computes per endpoint, the cache and store counters, cached entries
 // and the pool queue.
-func counters(s *Server) [9]int64 {
+func counters(s *Server) [10]int64 {
 	m := s.metrics
-	return [9]int64{
-		m.ComputeCalls("bounds"), m.ComputeCalls("predict"), m.ComputeCalls("simulate"),
+	return [10]int64{
+		m.ComputeCalls("bounds"), m.ComputeCalls("predict"), m.ComputeCalls("simulate"), m.ComputeCalls("trace"),
 		m.CacheHits(), m.misses.Value(), m.CacheShared(), m.StoreHits(),
 		int64(s.cache.stats().Entries), int64(s.pool.depth()),
 	}
 }
 
 // FuzzCanonicalize checks the cache key's soundness over valid and
-// invalid queries on /v1/bounds, /v1/predict and /v1/simulate. The seed
-// drives generators in the ok/bad style: randomOkPoint draws a point
-// and two independent cosmetic spellings of it (float forms, leading
-// zeros, order, defaulted vs explicit), which must share one key and
-// byte-identical bodies; corrupt breaks one parameter, which must be
+// invalid queries on /v1/bounds, /v1/predict, /v1/simulate and
+// /v1/trace. The seed drives generators in the ok/bad style:
+// randomOkPoint draws a point and two independent cosmetic spellings
+// of it (float forms, leading zeros, order, defaulted vs explicit),
+// which must share one key and byte-identical bodies; corrupt breaks
+// one parameter, which must be
 // rejected with a 400 that moves neither the cache nor the pool. raw is
 // also tried as the query of every endpoint: when Canonicalize rejects
 // it, the handler must too, without side effects.
@@ -275,6 +282,8 @@ func FuzzCanonicalize(f *testing.F) {
 	f.Add(uint64(3), "proto=arq&pi=0.1")
 	f.Add(uint64(4), "n=4&pd=NaN")
 	f.Add(uint64(5), "proto=naive&symbols=1e3&inject=drift%3D0.5")
+	f.Add(uint64(6), "proto=counter&ps=-0&pi=.05")
+	f.Add(uint64(7), "proto=counter&ps=1.5")
 	f.Fuzz(func(t *testing.T, seed uint64, raw string) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		p := randomOkPoint(r)
@@ -309,10 +318,48 @@ func FuzzCanonicalize(f *testing.F) {
 		if bad := p.corrupt(r); !rejected(bad, httptest.NewRequest(http.MethodGet, bad, nil)) {
 			t.Fatalf("%s: corrupted query canonicalized", bad)
 		}
-		for _, path := range []string{"/v1/bounds", "/v1/predict", "/v1/simulate"} {
+		for _, path := range []string{"/v1/bounds", "/v1/predict", "/v1/simulate", "/v1/trace"} {
 			req := httptest.NewRequest(http.MethodGet, path, nil)
 			req.URL.RawQuery = raw
 			rejected(path+"?"+raw, req)
 		}
 	})
+}
+
+// TestExperimentIDsCanonicalize pins that spellings of one experiment
+// batch that differ in id order or repetition share one cache key and
+// so one compute: experiments.Run selects in registry order without
+// duplicates, so their bodies are byte-identical.
+func TestExperimentIDsCanonicalize(t *testing.T) {
+	const params = "&symbols=500&quanta=2000&coded_symbols=20"
+	srv := freshServer(t)
+	var key string
+	var body []byte
+	for i, ids := range []string{"E1,E2", "E2,E1", "E1,E1,E2", " E2 ,E1,,E2"} {
+		target := "/v1/experiments?id=" + url.QueryEscape(ids) + params
+		k, ok := srv.Canonicalize(httptest.NewRequest(http.MethodGet, target, nil))
+		if !ok {
+			t.Fatalf("%s: Canonicalize rejected a valid query", target)
+		}
+		code, b := serve(srv, http.MethodGet, target, "")
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", target, code, b)
+		}
+		if i == 0 {
+			key, body = k, b
+			if want := "experiments?id=E1,E2&seed=1&symbols=500&coded=20&quanta=2000"; k != want {
+				t.Errorf("canonical spelling keyed %q, want %q", k, want)
+			}
+			continue
+		}
+		if k != key {
+			t.Errorf("%s: key %q, want %q", ids, k, key)
+		}
+		if !bytes.Equal(b, body) {
+			t.Errorf("%s: body differs from E1,E2's", ids)
+		}
+	}
+	if n := srv.metrics.ComputeCalls("experiments"); n != 1 {
+		t.Errorf("four spellings of one batch computed %d times, want 1", n)
+	}
 }

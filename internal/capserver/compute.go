@@ -12,6 +12,7 @@ import (
 	"repro/internal/delcap"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/syncproto"
 )
@@ -216,117 +217,131 @@ func (s *Server) buildPredict(q queryValues) (string, func() ([]byte, error), er
 	return key, compute, nil
 }
 
-// buildSimulate serves /v1/simulate: a seeded supervised protocol run
-// over a fault-injected channel, mirroring `chansim -inject` exactly
-// (same seed derivation, same supervisor configuration), so any
-// server-side run is reproducible offline from its echoed parameters.
-func (s *Server) buildSimulate(q queryValues) (string, func() ([]byte, error), error) {
-	proto := q.Get("proto")
-	switch proto {
+// supervisedQuery is a validated /v1/simulate or /v1/trace query: a
+// seeded supervised protocol run over a fault-injected channel.
+type supervisedQuery struct {
+	proto          string
+	params         channel.Params // Ps is 0 on /v1/simulate, which takes no ps
+	delay, symbols int
+	seed           uint64
+	faults         faultinject.Spec
+	inject         string // faults in canonical spelling
+}
+
+// parseSupervised validates the parameters /v1/simulate and /v1/trace
+// share; withPs adds /v1/trace's ps.
+func (s *Server) parseSupervised(q queryValues, withPs bool) (r supervisedQuery, err error) {
+	r.proto = q.Get("proto")
+	switch r.proto {
 	case "arq", "counter", "naive", "delayed":
 	case "":
-		return "", nil, fmt.Errorf("parameter proto is required (arq, counter, naive or delayed)")
+		return r, fmt.Errorf("parameter proto is required (arq, counter, naive or delayed)")
 	default:
-		return "", nil, fmt.Errorf("parameter proto=%q unknown (want arq, counter, naive or delayed)", proto)
+		return r, fmt.Errorf("parameter proto=%q unknown (want arq, counter, naive or delayed)", r.proto)
 	}
-	n, err := q.intParam("n", 4, 1, 16)
-	if err != nil {
-		return "", nil, err
+	p := &r.params
+	if p.N, err = q.intParam("n", 4, 1, 16); err != nil {
+		return r, err
 	}
-	pd, err := q.floatParam("pd", 0.2)
-	if err != nil {
-		return "", nil, err
+	if p.Pd, err = q.floatParam("pd", 0.2); err != nil {
+		return r, err
 	}
-	pi, err := q.floatParam("pi", 0)
-	if err != nil {
-		return "", nil, err
+	if p.Pi, err = q.floatParam("pi", 0); err != nil {
+		return r, err
 	}
-	delay, err := q.intParam("delay", 1, 0, 64)
-	if err != nil {
-		return "", nil, err
+	if withPs {
+		if p.Ps, err = q.floatParam("ps", 0); err != nil {
+			return r, err
+		}
 	}
-	symbols, err := q.intParam("symbols", 20000, 1, s.cfg.MaxSymbols)
-	if err != nil {
-		return "", nil, err
+	if r.delay, err = q.intParam("delay", 1, 0, 64); err != nil {
+		return r, err
 	}
-	seed, err := q.uint64Param("seed", 1)
-	if err != nil {
-		return "", nil, err
+	if r.symbols, err = q.intParam("symbols", 20000, 1, s.cfg.MaxSymbols); err != nil {
+		return r, err
 	}
-	params := channel.Params{N: n, Pd: pd, Pi: pi}
-	if err := params.Validate(); err != nil {
-		return "", nil, err
+	if r.seed, err = q.uint64Param("seed", 1); err != nil {
+		return r, err
 	}
-	if (proto == "arq" || proto == "delayed") && pi != 0 {
-		return "", nil, fmt.Errorf("proto %s analyzes a deletion-only channel; pi must be 0, got %v", proto, pi)
+	if err := p.Validate(); err != nil {
+		return r, err
 	}
-	parsed, err := faultinject.ParseSpec(q.Get("inject"))
-	if err != nil {
-		return "", nil, err
+	if (r.proto == "arq" || r.proto == "delayed") && p.Pi != 0 {
+		return r, fmt.Errorf("proto %s analyzes a deletion-only channel; pi must be 0, got %v", r.proto, p.Pi)
 	}
-	inject := parsed.String()
+	if r.faults, err = faultinject.ParseSpec(q.Get("inject")); err != nil {
+		return r, err
+	}
+	r.inject = r.faults.String()
+	return r, nil
+}
 
-	key := fmt.Sprintf("proto=%s&n=%d&pd=%v&pi=%v&delay=%d&symbols=%d&seed=%d&inject=%s",
-		proto, n, pd, pi, delay, symbols, seed, inject)
+// key is the canonical cache key; /v1/trace's also carries ps.
+func (r supervisedQuery) key(withPs bool) string {
+	p := r.params
+	if withPs {
+		return fmt.Sprintf("proto=%s&n=%d&pd=%v&pi=%v&ps=%v&delay=%d&symbols=%d&seed=%d&inject=%s",
+			r.proto, p.N, p.Pd, p.Pi, p.Ps, r.delay, r.symbols, r.seed, r.inject)
+	}
+	return fmt.Sprintf("proto=%s&n=%d&pd=%v&pi=%v&delay=%d&symbols=%d&seed=%d&inject=%s",
+		r.proto, p.N, p.Pd, p.Pi, r.delay, r.symbols, r.seed, r.inject)
+}
+
+// run executes the query's supervised run with the seed derivation of
+// chansim -inject (message from seed+1, channel from seed, fault stack
+// from Stream(seed, 2)), so any server-side run is reproducible
+// offline from its echoed parameters. A non-nil tr records every use,
+// through an obs.ChannelRecorder between the stack and the meter, plus
+// the supervision state machine and the fault layers' summary.
+func (r supervisedQuery) run(tr *obs.Tracer) (syncproto.SupervisedResult, *faultinject.Stack, error) {
+	n := r.params.N
+	msg := make([]uint32, r.symbols)
+	msgSrc := rng.New(r.seed + 1)
+	for i := range msg {
+		msg[i] = msgSrc.Symbol(n)
+	}
+	base, err := channel.NewDeletionInsertion(r.params, rng.New(r.seed))
+	if err != nil {
+		return syncproto.SupervisedResult{}, nil, err
+	}
+	stack, err := r.faults.Build(base, n, rng.NewStream(r.seed, 2))
+	if err != nil {
+		return syncproto.SupervisedResult{}, nil, err
+	}
+	var ch syncproto.UseChannel = stack
+	if tr != nil {
+		rec, err := obs.NewChannelRecorder(stack, tr, stack.Injected)
+		if err != nil {
+			return syncproto.SupervisedResult{}, nil, err
+		}
+		ch = rec
+	}
+	res, err := syncproto.Supervise(ch, syncproto.SuperviseSpec{
+		Proto: r.proto, N: n, Pd: r.params.Pd, Delay: r.delay, Tracer: tr,
+	}, msg)
+	if err != nil {
+		return syncproto.SupervisedResult{}, nil, err
+	}
+	stack.EmitSummary(tr)
+	return res, stack, nil
+}
+
+// buildSimulate serves /v1/simulate: the supervised run of a
+// supervisedQuery, reported with its full accounting.
+func (s *Server) buildSimulate(q queryValues) (string, func() ([]byte, error), error) {
+	r, err := s.parseSupervised(q, false)
+	if err != nil {
+		return "", nil, err
+	}
 	compute := func() ([]byte, error) {
-		// Seed derivation mirrors cmd/chansim: message from seed+1,
-		// channel from seed, fault stack from Stream(seed, 2).
-		msg := make([]uint32, symbols)
-		msgSrc := rng.New(seed + 1)
-		for i := range msg {
-			msg[i] = msgSrc.Symbol(n)
-		}
-		base, err := channel.NewDeletionInsertion(params, rng.New(seed))
+		res, stack, err := r.run(nil)
 		if err != nil {
 			return nil, err
 		}
-		stack, err := parsed.Build(base, n, rng.NewStream(seed, 2))
-		if err != nil {
-			return nil, err
-		}
-		meter, err := syncproto.NewUseMeter(stack)
-		if err != nil {
-			return nil, err
-		}
-		var active syncproto.Protocol
-		switch proto {
-		case "arq":
-			active, err = syncproto.NewARQOver(meter, n)
-		case "counter":
-			active, err = syncproto.NewCounterOver(meter, n)
-		case "naive":
-			active, err = syncproto.NewNaiveOver(meter, n)
-		case "delayed":
-			active, err = syncproto.NewDelayedARQOver(meter, n, params.Pd, delay)
-		}
-		if err != nil {
-			return nil, err
-		}
-		resync, err := syncproto.NewCounterOver(meter, n)
-		if err != nil {
-			return nil, err
-		}
-		scfg := syncproto.SupervisorConfig{
-			ChunkSymbols:   256,
-			MaxAttempts:    4,
-			BackoffBase:    32,
-			ErrorThreshold: 0.25,
-		}
-		scfg.AttemptUses = 8 * scfg.ChunkSymbols
-		if proto == "delayed" {
-			scfg.AttemptUses *= 1 + delay
-		}
-		sup, err := syncproto.NewSupervisor(active, resync, meter, scfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sup.Run(msg)
-		if err != nil {
-			return nil, err
-		}
+		p := r.params
 		return marshalBody(SimulateResponse{
-			Proto: proto, N: n, Pd: pd, Pi: pi, Delay: delay,
-			Symbols: symbols, Seed: seed, Inject: inject,
+			Proto: r.proto, N: p.N, Pd: p.Pd, Pi: p.Pi, Delay: r.delay,
+			Symbols: r.symbols, Seed: r.seed, Inject: r.inject,
 			Status:            res.Status.String(),
 			Uses:              res.Uses,
 			InjectedFaults:    stack.Injected(),
@@ -346,7 +361,7 @@ func (s *Server) buildSimulate(q queryValues) (string, func() ([]byte, error), e
 			BackoffUses:       res.BackoffUses,
 		})
 	}
-	return key, compute, nil
+	return r.key(false), compute, nil
 }
 
 // allExperiments returns the combined primary + ablation registry.
@@ -386,7 +401,7 @@ func (s *Server) buildExperimentsRun(q queryValues) (string, func() ([]byte, err
 	for _, e := range known {
 		valid[e.ID] = true
 	}
-	var ids []string
+	want := make(map[string]bool)
 	for _, part := range strings.Split(q.Get("id"), ",") {
 		id := strings.TrimSpace(part)
 		if id == "" {
@@ -395,7 +410,15 @@ func (s *Server) buildExperimentsRun(q queryValues) (string, func() ([]byte, err
 		if !valid[id] {
 			return "", nil, fmt.Errorf("unknown experiment id %q (see the catalog at /v1/experiments)", id)
 		}
-		ids = append(ids, id)
+		want[id] = true
+	}
+	// Key the ids as experiments.Run selects them, in registry order
+	// without duplicates, so every spelling of one batch shares a key.
+	var ids []string
+	for _, e := range known {
+		if want[e.ID] {
+			ids = append(ids, e.ID)
+		}
 	}
 	if len(ids) == 0 {
 		return "", nil, fmt.Errorf("parameter id lists no experiments")

@@ -97,22 +97,15 @@ func E13HostileRegimes(cfg Config) (Table, error) {
 // even if it needed no retries — honest reporting of a quietly
 // degraded channel. It is 0 for the calibration run itself.
 func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.Source) (syncproto.SupervisedResult, error) {
-	const (
-		n     = 4
-		delay = 2
-	)
+	const n = 4
 	msg := make([]uint32, cfg.Symbols)
 	msgSrc := src.Split()
 	for i := range msg {
 		msg[i] = msgSrc.Symbol(n)
 	}
-	scfg := syncproto.SupervisorConfig{
-		ChunkSymbols:      256,
-		MaxAttempts:       4,
-		BackoffBase:       32,
-		ErrorThreshold:    0.25,
-		DegradedRateFloor: 0.9 * cleanRate,
-		Tracer:            cfg.Tracer,
+	sspec := syncproto.SuperviseSpec{Proto: proto, N: n, Pd: 0.05, Delay: 2, Tracer: cfg.Tracer, DegradedRateFloor: 0.9 * cleanRate}
+	if proto == "delayedarq" {
+		sspec.Proto = "delayed"
 	}
 
 	parsed, err := faultinject.ParseSpec(spec)
@@ -123,7 +116,8 @@ func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.
 	// The common-event mechanism has no channel to inject faults into:
 	// its non-synchrony lives in the per-tick miss probabilities. An
 	// outage (neither party scheduled) or drift of magnitude m maps to
-	// an extra per-tick miss of the regime's total magnitude.
+	// an extra per-tick miss of the regime's total magnitude. Without a
+	// channel it runs unmetered: no deadline, no backoff, no resync.
 	if proto == "event" {
 		miss := 0.05
 		for _, item := range parsed {
@@ -133,7 +127,7 @@ func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.
 		if err != nil {
 			return syncproto.SupervisedResult{}, err
 		}
-		sup, err := syncproto.NewSupervisor(ce, nil, nil, scfg)
+		sup, err := syncproto.NewSupervisor(ce, nil, nil, sspec.Config())
 		if err != nil {
 			return syncproto.SupervisedResult{}, err
 		}
@@ -141,8 +135,8 @@ func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.
 	}
 
 	// Channel-backed protocols: base channel -> fault stack -> meter.
-	params := channel.Params{N: n, Pd: 0.05, Pi: 0.02}
-	if proto == "arq" || proto == "delayedarq" {
+	params := channel.Params{N: n, Pd: sspec.Pd, Pi: 0.02}
+	if sspec.Proto == "arq" || sspec.Proto == "delayed" {
 		// The ARQ analysis assumes a deletion-only channel; hostility
 		// is then injected on top of it.
 		params.Pi = 0
@@ -159,53 +153,15 @@ func runHostileCell(cfg Config, proto, spec string, cleanRate float64, src *rng.
 	// meter, attributing each use to the stack's injected-override
 	// count. The recorder is wrapped in only when tracing, so the
 	// disabled hot path is the bare stack.
-	var metered syncproto.UseChannel = stack
+	var ch syncproto.UseChannel = stack
 	if cfg.Tracer != nil {
 		rec, err := obs.NewChannelRecorder(stack, cfg.Tracer, stack.Injected)
 		if err != nil {
 			return syncproto.SupervisedResult{}, err
 		}
-		metered = rec
+		ch = rec
 	}
-	meter, err := syncproto.NewUseMeter(metered)
-	if err != nil {
-		return syncproto.SupervisedResult{}, err
-	}
-
-	var active syncproto.Protocol
-	switch proto {
-	case "naive":
-		active, err = syncproto.NewNaiveOver(meter, n)
-	case "arq":
-		active, err = syncproto.NewARQOver(meter, n)
-	case "delayedarq":
-		active, err = syncproto.NewDelayedARQOver(meter, n, params.Pd, delay)
-	case "counter":
-		active, err = syncproto.NewCounterOver(meter, n)
-	default:
-		err = fmt.Errorf("unknown protocol %q", proto)
-	}
-	if err != nil {
-		return syncproto.SupervisedResult{}, err
-	}
-	resync, err := syncproto.NewCounterOver(meter, n)
-	if err != nil {
-		return syncproto.SupervisedResult{}, err
-	}
-	// Attempt deadline: a generous multiple of the clean per-chunk
-	// cost, so only genuinely wedged attempts (a long outage window,
-	// a drift excursion) are aborted and retried. DelayedARQ pays
-	// (1+delay) uses per send, so its budget scales up.
-	attempt := 8 * scfg.ChunkSymbols
-	if proto == "delayedarq" {
-		attempt *= 1 + delay
-	}
-	scfg.AttemptUses = attempt
-	sup, err := syncproto.NewSupervisor(active, resync, meter, scfg)
-	if err != nil {
-		return syncproto.SupervisedResult{}, err
-	}
-	res, err := sup.Run(msg)
+	res, err := syncproto.Supervise(ch, sspec, msg)
 	if err != nil {
 		return res, err
 	}

@@ -77,6 +77,20 @@ func TestRunnerUnknownIDErrors(t *testing.T) {
 	}
 }
 
+// TestRunnerUnknownIDListsRegistry checks that the unknown-id error
+// lists the ids of the registry it was given, E13 included.
+func TestRunnerUnknownIDListsRegistry(t *testing.T) {
+	_, err := Run(context.Background(), runnerConfig(), Registry(), RunOptions{Only: []string{"E99"}})
+	if err == nil || !strings.Contains(err.Error(), "E12, E13)") {
+		t.Errorf("want the valid list to end at E13, got %v", err)
+	}
+	only := []Experiment{{ID: "X1", Index: 900, Run: func(Config) (Table, error) { return Table{}, nil }}}
+	_, err = Run(context.Background(), runnerConfig(), only, RunOptions{Only: []string{"E1"}})
+	if err == nil || !strings.Contains(err.Error(), "(valid: X1)") {
+		t.Errorf("want the valid list of the given registry, got %v", err)
+	}
+}
+
 func TestRunnerRecoversPanics(t *testing.T) {
 	exps := []Experiment{
 		{ID: "PANIC", Index: 900, Title: "always panics", Run: func(Config) (Table, error) {
