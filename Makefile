@@ -49,23 +49,27 @@ race-obs:
 	$(GO) test -race ./internal/obs/... ./internal/capserver/... ./internal/channel/... ./internal/cluster/... ./internal/session/... ./internal/health/... ./cmd/capstat/... ./cmd/capwatch/...
 
 # 30 seconds per native fuzz target: the Definition 1 trace invariants,
-# the fault-spec grammar, the session batch decoder and the cache-key
-# canonicalizer. Regressions the unit corpus misses show up here first.
+# the fault-spec grammar, the session batch decoder, the cache-key
+# canonicalizer and the raw query scanner it reads parameters with.
+# Regressions the unit corpus misses show up here first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeletionInsertionTransmit$$' -fuzztime 30s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 30s ./internal/faultinject
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 30s ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 30s ./internal/capserver
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryGet$$' -fuzztime 30s ./internal/capserver
 
 # One iteration of the serial/parallel batch benchmarks, as a smoke
-# test that the benchmark harness itself still runs, and the zero-alloc
-# owned fast path; then every BENCH producer once in smoke size into a
+# test that the benchmark harness itself still runs, the zero-alloc
+# owned fast path and the allocation bound on a capserver cache hit;
+# then every BENCH producer once in smoke size into a
 # temp file. Each producer fails unless the document it wrote passes
 # bench.Check; the committed BENCH_*.json files are validated in tier-1
 # by TestCommittedBenchFiles (internal/bench).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAll(Serial|Parallel)$$' -benchtime 1x .
 	$(GO) test -run '^TestOwnedFastPathZeroAlloc$$' -v ./internal/cluster
+	$(GO) test -run '^TestCachedHitAllocs$$' -v ./internal/capserver
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/kernelbench -smoke -out "$$tmp/kernels.json" && \
 	$(GO) run ./cmd/capload -mode cluster -cluster n1,n2,n3 \

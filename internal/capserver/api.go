@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/url"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -254,12 +255,48 @@ func marshalBody(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// queryValues wraps url.Values with validating typed accessors. All
+// queryValues is a raw URL query with validating typed accessors. All
 // numeric accessors reject NaN/Inf and malformed input at the service
 // boundary (the PR-1 validation convention), so compute kernels only
-// ever see finite, in-range parameters.
-type queryValues struct {
-	url.Values
+// ever see finite, in-range parameters. Keeping the query raw, rather
+// than parsed into url.Values, is what lets a cache hit validate and
+// key a request without allocating.
+type queryValues string
+
+// Get returns the first value of the named parameter, or "" when it is
+// absent, with the semantics of url.ParseQuery(q).Get(name): pairs are
+// '&'-separated, a pair containing ';' or a malformed '%' escape is
+// skipped, and keys and values are query-unescaped. Unescaping runs
+// only on a key or value containing '%' or '+', so plain pairs cost no
+// allocation.
+func (q queryValues) Get(name string) string {
+	raw := string(q)
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		key, ok := queryUnescape(key)
+		if !ok || key != name {
+			continue
+		}
+		if value, ok = queryUnescape(value); ok {
+			return value
+		}
+	}
+	return ""
+}
+
+// queryUnescape is url.QueryUnescape, skipped for text it would return
+// unchanged.
+func queryUnescape(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
 }
 
 // intParam parses an integer parameter with a default and an

@@ -51,8 +51,8 @@ type BatchResponse struct {
 	Results   []BatchPointResult `json:"results"`
 }
 
-// pointValues converts one batch point into the url.Values form the
-// single-request build path consumes, preserving numeric literals
+// pointValues converts one batch point into the raw query the
+// single-request parse path consumes, preserving numeric literals
 // exactly as sent (json.Number keeps the source text, so "0.2" reaches
 // strconv.ParseFloat identically to a query string's pd=0.2 and the
 // canonical cache key comes out the same).
@@ -61,7 +61,7 @@ func pointValues(raw json.RawMessage) (queryValues, error) {
 	dec.UseNumber()
 	var m map[string]any
 	if err := dec.Decode(&m); err != nil {
-		return queryValues{}, fmt.Errorf("point is not a JSON object: %v", err)
+		return "", fmt.Errorf("point is not a JSON object: %v", err)
 	}
 	vals := make(url.Values, len(m))
 	for k, v := range m {
@@ -73,10 +73,10 @@ func pointValues(raw json.RawMessage) (queryValues, error) {
 		case bool:
 			vals.Set(k, strconv.FormatBool(t))
 		default:
-			return queryValues{}, fmt.Errorf("parameter %s has unsupported type (want number, string or boolean)", k)
+			return "", fmt.Errorf("parameter %s has unsupported type (want number, string or boolean)", k)
 		}
 	}
-	return queryValues{vals}, nil
+	return queryValues(vals.Encode()), nil
 }
 
 // handleBoundsBatch serves POST /v1/bounds:batch: validate the
@@ -120,22 +120,21 @@ func (s *Server) handleBoundsBatch(w http.ResponseWriter, r *http.Request) {
 	for i, raw := range req.Points {
 		q, err := pointValues(raw)
 		if err == nil {
-			var key string
-			var compute func() ([]byte, error)
-			key, compute, err = s.buildBounds(q)
-			if err == nil {
+			var b boundsQuery
+			if b, err = parseBounds(q); err == nil {
 				wg.Add(1)
-				go func(i int, key string, compute func() ([]byte, error)) {
+				go func(i int, b boundsQuery) {
 					defer wg.Done()
 					// Same endpoint tag and key line as GET /v1/bounds:
 					// this is what makes batch points share its cache.
-					body, _, _, err := s.do(ctx, "bounds", "bounds?"+key, compute)
+					var key [keyBufLen]byte
+					body, _, _, err := s.do(ctx, "bounds", b.appendKey(key[:0]), func() computeFunc { return b.compute })
 					if err != nil {
 						results[i] = BatchPointResult{Error: err.Error(), Retryable: errors.Is(err, errQueueFull)}
 						return
 					}
 					results[i] = BatchPointResult{OK: true, Result: json.RawMessage(bytes.TrimSpace(body))}
-				}(i, key, compute)
+				}(i, b)
 				continue
 			}
 		}

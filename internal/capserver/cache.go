@@ -11,6 +11,7 @@ import (
 // are written exactly once, before done is closed; waiters read them
 // only after <-done, which provides the happens-before edge.
 type flight struct {
+	key  string
 	done chan struct{}
 	body []byte
 	err  error
@@ -77,26 +78,29 @@ func newFlightCache(capEntries int) *flightCache {
 // lookupOrJoin resolves key in one critical section: a cached body
 // (hit), an existing flight to wait on (shared), or a fresh flight the
 // caller must lead (leader == true). Exactly one of the three holds.
-func (c *flightCache) lookupOrJoin(key string) (body []byte, fl *flight, leader bool) {
+// Only a fresh flight copies the key to the heap; it carries the copy
+// as fl.key.
+func (c *flightCache) lookupOrJoin(key []byte) (body []byte, fl *flight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.idx[key]; ok {
+	if el, ok := c.idx[string(key)]; ok {
 		c.lru.MoveToFront(el)
 		return el.Value.(*cacheEntry).body, nil, false
 	}
-	if fl, ok := c.inflight[key]; ok {
+	if fl, ok := c.inflight[string(key)]; ok {
 		fl.waiters.Add(1)
 		return nil, fl, false
 	}
-	fl = &flight{done: make(chan struct{})}
+	fl = &flight{key: string(key), done: make(chan struct{})}
 	fl.waiters.Store(1)
-	c.inflight[key] = fl
+	c.inflight[fl.key] = fl
 	return nil, fl, true
 }
 
 // finish completes a flight: it publishes the result to every waiter
 // and, on success, installs it in the LRU (evicting beyond capacity).
-func (c *flightCache) finish(key string, fl *flight, body []byte, err error) {
+func (c *flightCache) finish(fl *flight, body []byte, err error) {
+	key := fl.key
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if err == nil {

@@ -84,12 +84,14 @@ func TestNegativeZeroCanonicalizes(t *testing.T) {
 // fuzzParam is one query parameter of a generated point: spellings
 // are equivalent renderings of one value, optional marks a value equal
 // to the builder's default (so the parameter may be left out), and bad
-// are renderings the builder must reject.
+// are renderings the builder must reject. escaped marks spellings that
+// are already query-escaped.
 type fuzzParam struct {
 	name      string
 	spellings []string
 	optional  bool
 	bad       []string
+	escaped   bool
 }
 
 // fuzzPoint is a generated query for one endpoint.
@@ -106,7 +108,11 @@ func (p fuzzPoint) spell(r *rand.Rand) string {
 		if q.optional && r.Intn(2) == 0 {
 			continue
 		}
-		parts = append(parts, q.name+"="+url.QueryEscape(q.spellings[r.Intn(len(q.spellings))]))
+		v := q.spellings[r.Intn(len(q.spellings))]
+		if !q.escaped {
+			v = url.QueryEscape(v)
+		}
+		parts = append(parts, q.name+"="+v)
 	}
 	r.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
 	return p.path + "?" + strings.Join(parts, "&")
@@ -184,11 +190,62 @@ func seedArg(v uint64) fuzzParam {
 	return fuzzParam{name: "seed", spellings: []string{s, "0" + s, "00" + s}, optional: v == 1, bad: badSeed}
 }
 
-// randomOkPoint draws a valid point on one of the four endpoints from
-// parameter ranges that compute in well under a millisecond or so.
+// cheapExperiments are the registry ids that run in a few milliseconds
+// at the sizes experimentsPoint asks for.
+var cheapExperiments = []string{"E1", "E2", "E3", "E4", "E5", "E7", "E8", "E9", "E10", "E13"}
+
+// idSpelling renders an experiment id set as an escaped id list in a
+// random order, with duplicates, space padding, empty parts and commas
+// escaped as %2C.
+func idSpelling(r *rand.Rand, ids []string) string {
+	list := append([]string(nil), ids...)
+	for i := r.Intn(3); i > 0; i-- {
+		list = append(list, ids[r.Intn(len(ids))])
+	}
+	for i := r.Intn(3); i > 0; i-- {
+		list = append(list, "")
+	}
+	r.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
+	var b strings.Builder
+	for i, id := range list {
+		if i > 0 {
+			b.WriteString(pick(r, ",", ",", "%2C", "%2c"))
+		}
+		b.WriteString(pick(r, "", "", "+", "%20") + id + pick(r, "", "", "+", "%20"))
+	}
+	return b.String()
+}
+
+// experimentsPoint draws a run of one to three cheap experiments.
+func experimentsPoint(r *rand.Rand) fuzzPoint {
+	pool := append([]string(nil), cheapExperiments...)
+	r.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	ids := pool[:1+r.Intn(3)]
+	id := fuzzParam{name: "id", escaped: true,
+		bad: []string{"E99", "E1%2CE99", "e1", "E1%3BE2", "%2C", "+", "%2C+%2C"}}
+	for i := 0; i < 6; i++ {
+		id.spellings = append(id.spellings, idSpelling(r, ids))
+	}
+	seed := seedArg(uint64(1 + r.Intn(9)))
+	if seed.optional {
+		// Seed 0 runs as the default seed 1.
+		seed.spellings = append(seed.spellings, "0", "00")
+	}
+	return fuzzPoint{path: "/v1/experiments", params: []fuzzParam{
+		id,
+		seed,
+		intArg("symbols", pick(r, 100, 200), 20000, 200000),
+		intArg("coded_symbols", pick(r, 5, 10), 200, 5000),
+		intArg("quanta", pick(r, 500, 1000), 200000, 2_000_000),
+	}}
+}
+
+// randomOkPoint draws a valid point on one of the five cacheable
+// endpoints from parameter ranges that compute in a few milliseconds
+// at most.
 func randomOkPoint(r *rand.Rand) fuzzPoint {
 	pd := pick(r, 0, 0.05, 0.1, 0.2, 0.25, 0.5)
-	switch r.Intn(3) {
+	switch r.Intn(4) {
 	case 0:
 		n := 1 + r.Intn(6)
 		ba := r.Intn(2) == 0
@@ -224,6 +281,8 @@ func randomOkPoint(r *rand.Rand) fuzzPoint {
 			floatArg("pi", pi, 0, badProb),
 			intArg("delay", r.Intn(5), 1, 64),
 		}}
+	case 2:
+		return experimentsPoint(r)
 	default:
 		path := pick(r, "/v1/simulate", "/v1/trace")
 		proto := pick(r, "arq", "counter", "naive", "delayed")
@@ -257,25 +316,28 @@ func randomOkPoint(r *rand.Rand) fuzzPoint {
 // counters is every counter a rejected request must leave alone: the
 // computes per endpoint, the cache and store counters, cached entries
 // and the pool queue.
-func counters(s *Server) [10]int64 {
+func counters(s *Server) [11]int64 {
 	m := s.metrics
-	return [10]int64{
+	return [11]int64{
 		m.ComputeCalls("bounds"), m.ComputeCalls("predict"), m.ComputeCalls("simulate"), m.ComputeCalls("trace"),
+		m.ComputeCalls("experiments"),
 		m.CacheHits(), m.misses.Value(), m.CacheShared(), m.StoreHits(),
 		int64(s.cache.stats().Entries), int64(s.pool.depth()),
 	}
 }
 
 // FuzzCanonicalize checks the cache key's soundness over valid and
-// invalid queries on /v1/bounds, /v1/predict, /v1/simulate and
-// /v1/trace. The seed drives generators in the ok/bad style:
-// randomOkPoint draws a point and two independent cosmetic spellings
-// of it (float forms, leading zeros, order, defaulted vs explicit),
-// which must share one key and byte-identical bodies; corrupt breaks
-// one parameter, which must be
-// rejected with a 400 that moves neither the cache nor the pool. raw is
-// also tried as the query of every endpoint: when Canonicalize rejects
-// it, the handler must too, without side effects.
+// invalid queries on /v1/bounds, /v1/predict, /v1/simulate, /v1/trace
+// and /v1/experiments runs. The seed drives generators in the ok/bad
+// style: randomOkPoint draws a point and two independent cosmetic
+// spellings of it (float forms, leading zeros, order, defaulted vs
+// explicit, and for experiment id lists order, duplicates, spaces,
+// empty parts and escaped commas), which must share one key,
+// byte-identical bodies and, served on one server, one compute;
+// corrupt breaks one parameter, which must be rejected with a 400 that
+// moves neither the cache nor the pool. raw is also tried as the query
+// of every endpoint: when Canonicalize rejects it, the handler must
+// too, without side effects.
 func FuzzCanonicalize(f *testing.F) {
 	f.Add(uint64(1), "pd=0.2")
 	f.Add(uint64(2), "pd=-0&n=04")
@@ -298,6 +360,14 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 
 		srv := freshServer(t)
+		for _, target := range []string{a, b} {
+			if code, body := serve(srv, http.MethodGet, target, ""); code != http.StatusOK || !bytes.Equal(body, bodyA) {
+				t.Fatalf("%s on a shared server: status %d, body %s, want %s", target, code, body, bodyA)
+			}
+		}
+		if n := srv.metrics.ComputeCalls(strings.TrimPrefix(p.path, "/v1/")); n != 1 {
+			t.Fatalf("two spellings of %s computed %d times on one server, want 1", ka, n)
+		}
 		// rejected reports whether Canonicalize rejects the request and,
 		// when it does, that the handler answers 400 without side effects.
 		rejected := func(target string, req *http.Request) bool {
@@ -318,7 +388,10 @@ func FuzzCanonicalize(f *testing.F) {
 		if bad := p.corrupt(r); !rejected(bad, httptest.NewRequest(http.MethodGet, bad, nil)) {
 			t.Fatalf("%s: corrupted query canonicalized", bad)
 		}
-		for _, path := range []string{"/v1/bounds", "/v1/predict", "/v1/simulate", "/v1/trace"} {
+		for _, path := range []string{"/v1/bounds", "/v1/predict", "/v1/simulate", "/v1/trace", "/v1/experiments"} {
+			if vals, _ := url.ParseQuery(raw); path == "/v1/experiments" && vals.Get("id") == "" {
+				continue // the catalog: answered directly, never cached
+			}
 			req := httptest.NewRequest(http.MethodGet, path, nil)
 			req.URL.RawQuery = raw
 			rejected(path+"?"+raw, req)

@@ -211,11 +211,11 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /v1/bounds", s.handleCompute("bounds", s.buildBounds))
+	s.mux.HandleFunc("GET /v1/bounds", s.handleBounds)
 	s.mux.HandleFunc("POST /v1/bounds:batch", s.handleBoundsBatch)
-	s.mux.HandleFunc("GET /v1/predict", s.handleCompute("predict", s.buildPredict))
-	s.mux.HandleFunc("GET /v1/simulate", s.handleCompute("simulate", s.buildSimulate))
-	s.mux.HandleFunc("GET /v1/trace", s.handleCompute("trace", s.buildTrace))
+	s.mux.HandleFunc("GET /v1/predict", s.handlePredict)
+	s.mux.HandleFunc("GET /v1/simulate", s.handleSupervised("simulate", false))
+	s.mux.HandleFunc("GET /v1/trace", s.handleSupervised("trace", true))
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	s.initSessions()
 	s.initHealth()
@@ -279,55 +279,94 @@ var errAbandoned = errors.New("capserver: request abandoned before compute start
 // errDraining refuses a new computation once drain has begun.
 var errDraining = errors.New("capserver: server draining, retry elsewhere")
 
-// buildFunc validates one endpoint's query parameters and returns the
-// request's canonical cache key plus the deferred computation that
-// produces the JSON response body. Validation errors are client errors
-// (400); compute errors are internal (500).
-type buildFunc func(q queryValues) (key string, compute func() ([]byte, error), err error)
+// computeFunc produces a response body: the deferred computation of a
+// validated query. Validation errors are client errors (400); compute
+// errors are internal (500).
+type computeFunc func() ([]byte, error)
 
-// handleCompute is the shared serving path: validate, consult the
-// cache, deduplicate in-flight identical requests, run on the worker
-// pool with backpressure, respond.
-func (s *Server) handleCompute(endpoint string, build buildFunc) http.HandlerFunc {
+// keyBufLen sizes the stack buffer a request's canonical key is
+// appended into; a longer key (a long inject spec) spills to the heap.
+const keyBufLen = 256
+
+// handleBounds serves GET /v1/bounds. Like every cacheable endpoint's
+// handler, it parses the raw query into a typed value and appends the
+// canonical key into a stack buffer; the computation is built only if
+// this request leads a fresh flight, so a cache hit allocates neither.
+// Each endpoint has a handler of its own because a typed query passed
+// on as an interface or through a type parameter escapes to the heap.
+func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	q, err := parseBounds(queryValues(r.URL.RawQuery))
+	if err != nil {
+		s.finish(w, "bounds", start, http.StatusBadRequest, errorBody(err), "")
+		return
+	}
+	var key [keyBufLen]byte
+	s.serveQuery(w, r, "bounds", start, q.appendKey(key[:0]), func() computeFunc { return q.compute })
+}
+
+// handlePredict serves GET /v1/predict.
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	q, err := parsePredict(queryValues(r.URL.RawQuery))
+	if err != nil {
+		s.finish(w, "predict", start, http.StatusBadRequest, errorBody(err), "")
+		return
+	}
+	var key [keyBufLen]byte
+	s.serveQuery(w, r, "predict", start, q.appendKey(key[:0]), func() computeFunc { return q.compute })
+}
+
+// handleSupervised serves GET /v1/simulate, or GET /v1/trace when
+// traced is set.
+func (s *Server) handleSupervised(endpoint string, traced bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		key, compute, err := build(queryValues{r.URL.Query()})
+		q, err := s.parseSupervised(queryValues(r.URL.RawQuery), traced)
 		if err != nil {
 			s.finish(w, endpoint, start, http.StatusBadRequest, errorBody(err), "")
 			return
 		}
-		ctx := r.Context()
-		if s.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-			defer cancel()
-		}
-		body, source, timing, err := s.do(ctx, endpoint, endpoint+"?"+key, compute)
-		if r.Header.Get(obs.TraceHeader) != "" {
-			// The request is part of a cluster trace: expose the
-			// queue/compute split so the routing layer's span can
-			// attribute where the hop's time went.
-			w.Header().Set(TraceQueueHeader, strconv.FormatInt(timing.queue.Microseconds(), 10))
-			w.Header().Set(TraceComputeHeader, strconv.FormatInt(timing.compute.Microseconds(), 10))
-		}
-		switch {
-		case err == nil:
-			s.finish(w, endpoint, start, http.StatusOK, body, source)
-		case errors.Is(err, errQueueFull):
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-			s.finish(w, endpoint, start, http.StatusTooManyRequests, errorBody(err), "")
-		case errors.Is(err, errAbandoned), errors.Is(err, errDraining):
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-			s.finish(w, endpoint, start, http.StatusServiceUnavailable, errorBody(err), "")
-		case errors.Is(err, context.DeadlineExceeded):
-			s.finish(w, endpoint, start, http.StatusGatewayTimeout, errorBody(err), "")
-		case errors.Is(err, context.Canceled):
-			// The client went away; 499 (nginx convention) keeps the
-			// metrics honest even though nobody reads the response.
-			s.finish(w, endpoint, start, 499, errorBody(err), "")
-		default:
-			s.finish(w, endpoint, start, http.StatusInternalServerError, errorBody(err), "")
-		}
+		var key [keyBufLen]byte
+		s.serveQuery(w, r, endpoint, start, q.appendKey(key[:0]), func() computeFunc {
+			if traced {
+				return q.trace
+			}
+			return q.simulate
+		})
+	}
+}
+
+// serveQuery is the shared serving path of a validated query: consult
+// the cache, deduplicate in-flight identical requests, run on the
+// worker pool with backpressure, respond. lead builds the computation;
+// it is called only when this request leads a fresh flight.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time, key []byte, lead func() computeFunc) {
+	body, source, timing, err := s.do(r.Context(), endpoint, key, lead)
+	if r.Header.Get(obs.TraceHeader) != "" {
+		// The request is part of a cluster trace: expose the
+		// queue/compute split so the routing layer's span can
+		// attribute where the hop's time went.
+		w.Header().Set(TraceQueueHeader, strconv.FormatInt(timing.queue.Microseconds(), 10))
+		w.Header().Set(TraceComputeHeader, strconv.FormatInt(timing.compute.Microseconds(), 10))
+	}
+	switch {
+	case err == nil:
+		s.finish(w, endpoint, start, http.StatusOK, body, source)
+	case errors.Is(err, errQueueFull):
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		s.finish(w, endpoint, start, http.StatusTooManyRequests, errorBody(err), "")
+	case errors.Is(err, errAbandoned), errors.Is(err, errDraining):
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		s.finish(w, endpoint, start, http.StatusServiceUnavailable, errorBody(err), "")
+	case errors.Is(err, context.DeadlineExceeded):
+		s.finish(w, endpoint, start, http.StatusGatewayTimeout, errorBody(err), "")
+	case errors.Is(err, context.Canceled):
+		// The client went away; 499 (nginx convention) keeps the
+		// metrics honest even though nobody reads the response.
+		s.finish(w, endpoint, start, 499, errorBody(err), "")
+	default:
+		s.finish(w, endpoint, start, http.StatusInternalServerError, errorBody(err), "")
 	}
 }
 
@@ -340,39 +379,48 @@ type flightTiming struct {
 // do resolves one computation: cache hit, joining an in-flight
 // identical computation, leading one resolved from the durable store,
 // or leading a fresh computation through the worker pool. source is
-// "hit", "shared", "store" or "miss" respectively. A request whose
-// context ends first withdraws from the flight; when every waiter has
-// withdrawn before a worker picks the job up, the computation is
-// skipped entirely.
-func (s *Server) do(ctx context.Context, endpoint, key string, compute func() ([]byte, error)) (body []byte, source string, timing flightTiming, err error) {
+// "hit", "shared", "store" or "miss" respectively. Past a hit, the
+// wait is bounded by the per-request deadline (Config.RequestTimeout)
+// on top of ctx; a hit does not wait, so it derives none. A request
+// whose context ends first withdraws from the flight; when every
+// waiter has withdrawn before a worker picks the job up, the
+// computation is skipped entirely. lead is called only to start a
+// fresh computation.
+func (s *Server) do(ctx context.Context, endpoint string, key []byte, lead func() computeFunc) (body []byte, source string, timing flightTiming, err error) {
 	cached, fl, leader := s.cache.lookupOrJoin(key)
 	if cached != nil {
 		s.metrics.cacheHit()
 		return cached, "hit", timing, nil
 	}
+	if s.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
 	stored := false
 	if leader {
 		s.metrics.cacheMiss()
 		if s.store != nil {
-			if b, ok := s.store.Get(key); ok {
+			if b, ok := s.store.Get(fl.key); ok {
 				s.metrics.storeHit()
-				s.cache.finish(key, fl, b, nil)
+				s.cache.finish(fl, b, nil)
 				stored = true
 			}
 		}
 		if !stored {
+			compute := lead()
 			submitted := time.Now()
 			job := func() {
 				fl.queue = time.Since(submitted)
 				if fl.abandoned() {
 					s.metrics.computeAbandoned()
-					s.cache.finish(key, fl, nil, errAbandoned)
+					s.cache.finish(fl, nil, errAbandoned)
 					return
 				}
 				defer func() {
 					if r := recover(); r != nil {
 						s.metrics.computePanic()
-						s.cache.finish(key, fl, nil, fmt.Errorf("capserver: %s compute panic: %v", endpoint, r))
+						s.cache.finish(fl, nil, fmt.Errorf("capserver: %s compute panic: %v", endpoint, r))
 					}
 				}()
 				s.metrics.computeStart(endpoint)
@@ -380,18 +428,18 @@ func (s *Server) do(ctx context.Context, endpoint, key string, compute func() ([
 				b, cerr := compute()
 				fl.compute = time.Since(started)
 				if cerr == nil && s.store != nil {
-					s.store.Put(key, b)
+					s.store.Put(fl.key, b)
 				}
-				s.cache.finish(key, fl, b, cerr)
+				s.cache.finish(fl, b, cerr)
 			}
 			switch {
 			case s.draining.Load():
 				// Flights admitted before the drain, and joins onto
 				// them, still complete.
-				s.cache.finish(key, fl, nil, errDraining)
+				s.cache.finish(fl, nil, errDraining)
 			case !s.pool.trySubmit(job):
 				s.metrics.queueRejected()
-				s.cache.finish(key, fl, nil, errQueueFull)
+				s.cache.finish(fl, nil, errQueueFull)
 			}
 		}
 	} else {
@@ -414,12 +462,22 @@ func (s *Server) do(ctx context.Context, endpoint, key string, compute func() ([
 	}
 }
 
+// Response header values. finish assigns these shared slices to the
+// header map instead of calling Header.Set, which would allocate a
+// fresh one-element slice per header per response; header consumers
+// copy or replace values, never write into them.
+var (
+	jsonContentType = []string{"application/json"}
+	cacheSources    = map[string][]string{"hit": {"hit"}, "shared": {"shared"}, "store": {"store"}, "miss": {"miss"}}
+)
+
 // finish writes the response and records the request's metrics.
 func (s *Server) finish(w http.ResponseWriter, endpoint string, start time.Time, status int, body []byte, source string) {
+	h := w.Header()
 	if source != "" {
-		w.Header().Set(CacheHeader, source)
+		h[CacheHeader] = cacheSources[source]
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 	s.metrics.observe(endpoint, status, time.Since(start))
@@ -456,30 +514,34 @@ func (s *Server) Canonicalize(r *http.Request) (key string, ok bool) {
 	if r.Method != http.MethodGet {
 		return "", false
 	}
-	var endpoint string
-	var build buildFunc
+	q := queryValues(r.URL.RawQuery)
+	var buf [keyBufLen]byte
 	switch r.URL.Path {
 	case "/v1/bounds":
-		endpoint, build = "bounds", s.buildBounds
+		b, err := parseBounds(q)
+		return canonical(b.appendKey(buf[:0]), err)
 	case "/v1/predict":
-		endpoint, build = "predict", s.buildPredict
-	case "/v1/simulate":
-		endpoint, build = "simulate", s.buildSimulate
-	case "/v1/trace":
-		endpoint, build = "trace", s.buildTrace
+		p, err := parsePredict(q)
+		return canonical(p.appendKey(buf[:0]), err)
+	case "/v1/simulate", "/v1/trace":
+		sq, err := s.parseSupervised(q, r.URL.Path == "/v1/trace")
+		return canonical(sq.appendKey(buf[:0]), err)
 	case "/v1/experiments":
-		if r.URL.Query().Get("id") == "" {
+		if q.Get("id") == "" {
 			return "", false
 		}
-		endpoint, build = "experiments", s.buildExperimentsRun
-	default:
-		return "", false
+		e, err := s.parseExperiments(q)
+		return canonical(e.appendKey(buf[:0]), err)
 	}
-	k, _, err := build(queryValues{r.URL.Query()})
+	return "", false
+}
+
+// canonical is Canonicalize's verdict on a parsed query's key.
+func canonical(key []byte, err error) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	return endpoint + "?" + k, true
+	return string(key), true
 }
 
 // handleMetrics renders the counters, gauges and latency quantiles,

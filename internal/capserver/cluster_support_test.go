@@ -104,6 +104,11 @@ func TestStoreReadThrough(t *testing.T) {
 	}
 }
 
+// lead hands do a fixed computation.
+func lead(compute computeFunc) func() computeFunc {
+	return func() computeFunc { return compute }
+}
+
 // TestAbandonedRequestSkipsCompute is the client-disconnect regression
 // test: a request whose context is canceled while its computation is
 // still queued must not invoke the compute function at all once a
@@ -121,10 +126,10 @@ func TestAbandonedRequestSkipsCompute(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client is already gone
 	invoked := false
-	_, _, _, err := s.do(ctx, "bounds", "bounds?abandon-test", func() ([]byte, error) {
+	_, _, _, err := s.do(ctx, "bounds", []byte("bounds?abandon-test"), lead(func() ([]byte, error) {
 		invoked = true
 		return []byte("never"), nil
-	})
+	}))
 	if err != context.Canceled {
 		t.Fatalf("do returned %v, want context.Canceled", err)
 	}
@@ -143,9 +148,9 @@ func TestAbandonedRequestSkipsCompute(t *testing.T) {
 
 	// The abandoned flight must not wedge the key: a fresh request
 	// leads a new computation and succeeds.
-	body, source, _, err := s.do(context.Background(), "bounds", "bounds?abandon-test", func() ([]byte, error) {
+	body, source, _, err := s.do(context.Background(), "bounds", []byte("bounds?abandon-test"), lead(func() ([]byte, error) {
 		return []byte("fresh"), nil
-	})
+	}))
 	if err != nil || string(body) != "fresh" || source != "miss" {
 		t.Fatalf("retry after abandonment: body %q, source %q, err %v", body, source, err)
 	}
@@ -165,9 +170,9 @@ func TestAbandonedSharedWaiterKeepsCompute(t *testing.T) {
 	gone, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := s.do(gone, "bounds", "bounds?shared-test", func() ([]byte, error) {
+		_, _, _, err := s.do(gone, "bounds", []byte("bounds?shared-test"), lead(func() ([]byte, error) {
 			return []byte("kept"), nil
-		})
+		}))
 		done <- err
 	}()
 	// Wait for the leader to register its flight, then join and leave.
@@ -186,9 +191,9 @@ func TestAbandonedSharedWaiterKeepsCompute(t *testing.T) {
 	// frees: its interest keeps the computation alive.
 	joined := make(chan error, 1)
 	go func() {
-		body, _, _, err := s.do(context.Background(), "bounds", "bounds?shared-test", func() ([]byte, error) {
+		body, _, _, err := s.do(context.Background(), "bounds", []byte("bounds?shared-test"), lead(func() ([]byte, error) {
 			return []byte("unused"), nil
-		})
+		}))
 		if err == nil && string(body) != "kept" {
 			err = fmt.Errorf("joiner got body %q", body)
 		}

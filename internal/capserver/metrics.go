@@ -2,8 +2,11 @@ package capserver
 
 import (
 	"io"
+	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -32,6 +35,20 @@ type Metrics struct {
 	depth     *obs.Gauge
 	rejected  *obs.Counter
 	latency   *obs.LatencyVec
+
+	// served holds, per endpoint, the series every answered request
+	// bumps, resolved by its first request so a request does not look
+	// them up by label (see servedCells).
+	served sync.Map // endpoint -> *servedCells
+}
+
+// servedCells are one endpoint's latency series and its code="200"
+// request counter. The counter is resolved by the endpoint's first 200,
+// not its first request, so an endpoint that has only failed shows no
+// zero-valued 200 series.
+type servedCells struct {
+	latency *obs.Latency
+	ok      atomic.Pointer[obs.Counter]
 }
 
 // newMetrics registers the service's metric families on reg (a nil reg
@@ -79,8 +96,28 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // observe records one served request.
 func (m *Metrics) observe(endpoint string, status int, d time.Duration) {
-	m.requests.With(endpoint, strconv.Itoa(status)).Inc()
-	m.latency.Observe(endpoint, d)
+	c := m.cells(endpoint)
+	if status == http.StatusOK {
+		ok := c.ok.Load()
+		if ok == nil {
+			ok = m.requests.With(endpoint, "200")
+			c.ok.Store(ok)
+		}
+		ok.Inc()
+	} else {
+		m.requests.With(endpoint, strconv.Itoa(status)).Inc()
+	}
+	c.latency.Observe(d)
+}
+
+// cells returns the endpoint's servedCells, resolving them on its
+// first request.
+func (m *Metrics) cells(endpoint string) *servedCells {
+	if c, ok := m.served.Load(endpoint); ok {
+		return c.(*servedCells)
+	}
+	c, _ := m.served.LoadOrStore(endpoint, &servedCells{latency: m.latency.With(endpoint)})
+	return c.(*servedCells)
 }
 
 // computeStart records one underlying computation actually executing

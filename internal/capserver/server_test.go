@@ -389,28 +389,28 @@ func TestCacheHeaderClasses(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newFlightCache(2)
 	for i, key := range []string{"a", "b", "c"} {
-		_, fl, leader := c.lookupOrJoin(key)
+		_, fl, leader := c.lookupOrJoin([]byte(key))
 		if !leader {
 			t.Fatalf("key %d: not leader", i)
 		}
-		c.finish(key, fl, []byte(key), nil)
+		c.finish(fl, []byte(key), nil)
 	}
 	if s := c.stats(); s.Entries != 2 || s.Evictions != 1 {
 		t.Fatalf("stats = %+v, want 2 entries, 1 eviction", s)
 	}
-	if body, _, _ := c.lookupOrJoin("a"); body != nil {
+	if body, _, _ := c.lookupOrJoin([]byte("a")); body != nil {
 		t.Error("oldest key survived beyond capacity")
 	}
-	if body, _, _ := c.lookupOrJoin("c"); body == nil {
+	if body, _, _ := c.lookupOrJoin([]byte("c")); body == nil {
 		t.Error("newest key missing")
 	}
 }
 
 func TestComputeErrorNotCached(t *testing.T) {
 	c := newFlightCache(2)
-	_, fl, _ := c.lookupOrJoin("k")
-	c.finish("k", fl, nil, fmt.Errorf("boom"))
-	if body, _, leader := c.lookupOrJoin("k"); body != nil || !leader {
+	_, fl, _ := c.lookupOrJoin([]byte("k"))
+	c.finish(fl, nil, fmt.Errorf("boom"))
+	if body, _, leader := c.lookupOrJoin([]byte("k")); body != nil || !leader {
 		t.Error("failed computation was cached; retry should lead a fresh flight")
 	}
 }

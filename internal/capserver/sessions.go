@@ -1,13 +1,11 @@
 package capserver
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -257,27 +255,21 @@ func (s *Server) sessionBounds(r *http.Request, snap session.Snapshot) (bounds j
 	if snap.Estimate.Uses == 0 {
 		return nil, "", "no events yet"
 	}
-	q := func(p float64) float64 { return math.Round(p*1000) / 1000 }
-	params := channel.Params{N: snap.N, Pd: q(snap.Estimate.Pd), Pi: q(snap.Estimate.Pi), Ps: q(snap.Estimate.Ps)}
+	quant := func(p float64) float64 { return math.Round(p*1000) / 1000 }
+	params := channel.Params{N: snap.N, Pd: quant(snap.Estimate.Pd), Pi: quant(snap.Estimate.Pi), Ps: quant(snap.Estimate.Ps)}
 	if err := params.Validate(); err != nil {
 		return nil, "", fmt.Sprintf("estimate outside analytic domain: %v", err)
 	}
-	v := url.Values{}
-	v.Set("n", strconv.Itoa(params.N))
-	v.Set("pd", strconv.FormatFloat(params.Pd, 'g', -1, 64))
-	v.Set("pi", strconv.FormatFloat(params.Pi, 'g', -1, 64))
-	v.Set("ps", strconv.FormatFloat(params.Ps, 'g', -1, 64))
-	key, compute, err := s.buildBounds(queryValues{v})
+	raw := appendInt(nil, "n=", params.N)
+	raw = appendFloat(raw, "&pd=", params.Pd)
+	raw = appendFloat(raw, "&pi=", params.Pi)
+	raw = appendFloat(raw, "&ps=", params.Ps)
+	q, err := parseBounds(queryValues(raw))
 	if err != nil {
 		return nil, "", fmt.Sprintf("estimate outside analytic domain: %v", err)
 	}
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	body, src, _, err := s.do(ctx, "bounds", "bounds?"+key, compute)
+	var key [keyBufLen]byte
+	body, src, _, err := s.do(r.Context(), "bounds", q.appendKey(key[:0]), func() computeFunc { return q.compute })
 	if err != nil {
 		// The snapshot is still good; report why the enrichment is
 		// missing instead of failing the whole read.
@@ -292,7 +284,7 @@ func (s *Server) sessionBounds(r *http.Request, snap session.Snapshot) (bounds j
 // max 1000) and page_token (the previous page's next_page_token).
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	q := queryValues{r.URL.Query()}
+	q := queryValues(r.URL.RawQuery)
 	// Paging parameters are lenient where compute parameters are strict:
 	// a limit of 0, a negative limit, or one above the 1000 cap clamps
 	// to a sane page size, and the page token is an opaque cursor — a

@@ -245,14 +245,27 @@ func (r *Registry) LatencyVec(name, label string) *LatencyVec {
 	return &LatencyVec{f: r.register(name, latencyKind, []string{label})}
 }
 
+// Latency is one series of a LatencyVec. A hot path resolves it once
+// with With and observes through it without a label lookup.
+type Latency struct{ c *cell }
+
+// With returns the latency series for the label value, creating it on
+// first use.
+func (v *LatencyVec) With(value string) *Latency {
+	return &Latency{c: v.f.cell([]string{value})}
+}
+
 // Observe records one duration for the given label value.
+func (v *LatencyVec) Observe(value string, d time.Duration) { v.With(value).Observe(d) }
+
+// Observe records one duration.
 //
 // Zero and negative durations (a cache hit timed at clock granularity)
 // are clamped to the lowest bucket explicitly: feeding log10(0) = -Inf
 // into bucket selection is exactly the failure mode the clamp guards
 // against, and sub-lowest-edge positives clamp the same way.
-func (v *LatencyVec) Observe(value string, d time.Duration) {
-	c := v.f.cell([]string{value})
+func (l *Latency) Observe(d time.Duration) {
+	c := l.c
 	ms := float64(d) / float64(time.Millisecond)
 	x := LatencyLogMin // lowest bucket
 	if ms > 0 {

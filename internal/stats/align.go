@@ -89,47 +89,38 @@ func Align(sent, received []uint32) EditCounts {
 }
 
 // AlignOps returns the full operation sequence of a minimal alignment.
+//
+// It fills only the diagonal band |i-j| <= k of the dynamic-programming
+// table (dp[i][j] = edit distance between sent[:i] and received[:j]),
+// doubling k from max(64, |n-m|) until the distance within the band is
+// at most k. Any alignment through a cell off the band costs more than
+// k, so every optimal alignment then lies inside it; the band's values
+// on those paths equal the full table's, and the traceback, ties
+// included, is the full table's. Once the band would cover the whole
+// table, the whole table is filled. Memory is O(n·k) instead of O(n·m).
 func AlignOps(sent, received []uint32) []EditOp {
 	n, m := len(sent), len(received)
-	// dp[i][j] = edit distance between sent[:i] and received[:j].
-	dp := make([][]int, n+1)
-	for i := range dp {
-		dp[i] = make([]int, m+1)
-		dp[i][0] = i
+	k := max(64, n-m, m-n)
+	for k < max(n, m) && int(newBand(n, m, k, 2).fill(sent, received)) > k {
+		k *= 2
 	}
-	for j := 0; j <= m; j++ {
-		dp[0][j] = j
-	}
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			cost := 1
-			if sent[i-1] == received[j-1] {
-				cost = 0
-			}
-			best := dp[i-1][j-1] + cost // match or substitute
-			if d := dp[i-1][j] + 1; d < best {
-				best = d // delete
-			}
-			if d := dp[i][j-1] + 1; d < best {
-				best = d // insert
-			}
-			dp[i][j] = best
-		}
-	}
+	dp := newBand(n, m, k, n+1)
+	dp.fill(sent, received)
 	// Trace back, preferring match/substitute over delete over insert.
 	ops := make([]EditOp, 0, n+m)
 	i, j := n, m
 	for i > 0 || j > 0 {
+		d := dp.at(i, j)
 		switch {
-		case i > 0 && j > 0 && sent[i-1] == received[j-1] && dp[i][j] == dp[i-1][j-1]:
+		case i > 0 && j > 0 && sent[i-1] == received[j-1] && d == dp.at(i-1, j-1):
 			ops = append(ops, OpMatch)
 			i--
 			j--
-		case i > 0 && j > 0 && dp[i][j] == dp[i-1][j-1]+1:
+		case i > 0 && j > 0 && d == dp.at(i-1, j-1)+1:
 			ops = append(ops, OpSubstitute)
 			i--
 			j--
-		case i > 0 && dp[i][j] == dp[i-1][j]+1:
+		case i > 0 && d == dp.at(i-1, j)+1:
 			ops = append(ops, OpDelete)
 			i--
 		default:
@@ -142,6 +133,77 @@ func AlignOps(sent, received []uint32) []EditOp {
 		ops[a], ops[b] = ops[b], ops[a]
 	}
 	return ops
+}
+
+// offBand is the value of a cell outside the band: larger than any
+// edit distance, with room to add one.
+const offBand = 1 << 30
+
+// band holds the rows of the edit-distance table restricted to the
+// diagonal band |i-j| <= k. Row i covers columns max(0, i-k) through
+// min(m, i+k); it is kept in slot i % rows, so a band of two rows
+// yields the distance in O(k) memory and one of n+1 rows keeps the
+// whole band for the traceback.
+type band struct {
+	m, k, width, rows int
+	cells             []int32
+}
+
+func newBand(n, m, k, rows int) *band {
+	width := min(2*k+1, m+1)
+	return &band{m: m, k: k, width: width, rows: rows, cells: make([]int32, rows*width)}
+}
+
+// row returns row i's cells and its first column.
+func (b *band) row(i int) ([]int32, int) {
+	lo := max(0, i-b.k)
+	slot := (i % b.rows) * b.width
+	return b.cells[slot : slot+min(b.m, i+b.k)-lo+1], lo
+}
+
+// at returns dp[i][j], or offBand outside the band.
+func (b *band) at(i, j int) int32 {
+	row, lo := b.row(i)
+	if j < lo || j-lo >= len(row) {
+		return offBand
+	}
+	return row[j-lo]
+}
+
+// fill computes the band row by row and returns dp[n][m].
+func (b *band) fill(sent, received []uint32) int32 {
+	n := len(sent)
+	first, _ := b.row(0)
+	for j := range first {
+		first[j] = int32(j)
+	}
+	for i := 1; i <= n; i++ {
+		row, lo := b.row(i)
+		prev, prevLo := b.row(i - 1)
+		for j := lo; j < lo+len(row); j++ {
+			if j == 0 {
+				row[0] = int32(i)
+				continue
+			}
+			cost := int32(1)
+			if sent[i-1] == received[j-1] {
+				cost = 0
+			}
+			best := prev[j-1-prevLo] + cost // match or substitute
+			if j-prevLo < len(prev) {
+				if d := prev[j-prevLo] + 1; d < best {
+					best = d // delete
+				}
+			}
+			if j > lo {
+				if d := row[j-1-lo] + 1; d < best {
+					best = d // insert
+				}
+			}
+			row[j-lo] = best
+		}
+	}
+	return b.at(n, b.m)
 }
 
 // EditDistance returns the Levenshtein distance between the sequences.

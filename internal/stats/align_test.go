@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -165,6 +167,132 @@ func TestEditOpString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.op.String(); got != tt.want {
 			t.Errorf("EditOp(%d).String() = %q, want %q", tt.op, got, tt.want)
+		}
+	}
+}
+
+// alignOpsFull is the full-table alignment AlignOps replaced: it fills
+// all (n+1)(m+1) cells. It is the reference the banded version must
+// reproduce operation for operation.
+func alignOpsFull(sent, received []uint32) []EditOp {
+	n, m := len(sent), len(received)
+	dp := make([][]int, n+1)
+	for i := range dp {
+		dp[i] = make([]int, m+1)
+		dp[i][0] = i
+	}
+	for j := 0; j <= m; j++ {
+		dp[0][j] = j
+	}
+	for i := 1; i <= n; i++ {
+		for j := 1; j <= m; j++ {
+			cost := 1
+			if sent[i-1] == received[j-1] {
+				cost = 0
+			}
+			best := dp[i-1][j-1] + cost
+			if d := dp[i-1][j] + 1; d < best {
+				best = d
+			}
+			if d := dp[i][j-1] + 1; d < best {
+				best = d
+			}
+			dp[i][j] = best
+		}
+	}
+	ops := make([]EditOp, 0, n+m)
+	i, j := n, m
+	for i > 0 || j > 0 {
+		switch {
+		case i > 0 && j > 0 && sent[i-1] == received[j-1] && dp[i][j] == dp[i-1][j-1]:
+			ops = append(ops, OpMatch)
+			i--
+			j--
+		case i > 0 && j > 0 && dp[i][j] == dp[i-1][j-1]+1:
+			ops = append(ops, OpSubstitute)
+			i--
+			j--
+		case i > 0 && dp[i][j] == dp[i-1][j]+1:
+			ops = append(ops, OpDelete)
+			i--
+		default:
+			ops = append(ops, OpInsert)
+			j--
+		}
+	}
+	for a, b := 0, len(ops)-1; a < b; a, b = a+1, b-1 {
+		ops[a], ops[b] = ops[b], ops[a]
+	}
+	return ops
+}
+
+// TestAlignOpsMatchesFullTable checks the banded AlignOps against the
+// full-table reference over random pairs: empty sides, skewed lengths,
+// alphabets of one to eight symbols, and received sequences that are
+// lightly or heavily edited copies of the sent one or have a block
+// moved, so the band is accepted at its first width, doubled, or grown
+// to the whole table.
+func TestAlignOpsMatchesFullTable(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	random := func(n, alphabet int) []uint32 {
+		s := make([]uint32, n)
+		for i := range s {
+			s[i] = uint32(r.Intn(alphabet))
+		}
+		return s
+	}
+	// edited copies s with each symbol deleted, substituted or
+	// followed by an insertion with probability rate each.
+	edited := func(s []uint32, rate float64, alphabet int) []uint32 {
+		var out []uint32
+		for _, x := range s {
+			switch u := r.Float64(); {
+			case u < rate:
+			case u < 2*rate:
+				out = append(out, uint32(r.Intn(alphabet)))
+			case u < 3*rate:
+				out = append(out, x, uint32(r.Intn(alphabet)))
+			default:
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+	// shifted deletes a block of sent and inserts a random block of
+	// about the same length elsewhere: the optimal alignment strays
+	// from the diagonal by about the block length.
+	shifted := func(s []uint32, alphabet int) []uint32 {
+		block := 60 + r.Intn(200)
+		cut := r.Intn(len(s) - block)
+		out := append(append([]uint32(nil), s[:cut]...), s[cut+block:]...)
+		at := r.Intn(len(out) + 1)
+		ins := random(block-20+r.Intn(40), alphabet)
+		return append(out[:at], append(ins, out[at:]...)...)
+	}
+	for trial := 0; trial < 400; trial++ {
+		alphabet := 1 + r.Intn(8)
+		var sent, recv []uint32
+		switch trial % 5 {
+		case 0: // independent, possibly empty, sides
+			sent, recv = random(r.Intn(200), alphabet), random(r.Intn(200), alphabet)
+		case 1: // skewed lengths
+			sent, recv = random(r.Intn(20), alphabet), random(100+r.Intn(400), alphabet)
+			if r.Intn(2) == 0 {
+				sent, recv = recv, sent
+			}
+		case 2: // long and close: the first band suffices
+			sent = random(200+r.Intn(600), alphabet)
+			recv = edited(sent, 0.02, alphabet)
+		case 3: // long and far
+			sent = random(200+r.Intn(600), alphabet)
+			recv = edited(sent, 0.05+0.2*r.Float64(), alphabet)
+		default: // a moved block: the band doubles
+			sent = random(300+r.Intn(500), alphabet)
+			recv = shifted(sent, alphabet)
+		}
+		got, want := AlignOps(sent, recv), alignOpsFull(sent, recv)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d m=%d alphabet %d): banded alignment differs from the full table", trial, len(sent), len(recv), alphabet)
 		}
 	}
 }
